@@ -708,7 +708,17 @@ impl Daemon {
     /// checkpoint at its current generation boundary, and joins the
     /// workers. Idempotent.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Raise the flag under the job-table lock runners hold between
+        // their flag check and their condvar wait: set outside it, a
+        // runner in that window misses the wake-up and sleeps forever.
+        {
+            let _table = self
+                .inner
+                .jobs
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
         self.inner.queue_cv.notify_all();
         let mut pool = self.workers.lock().expect("worker pool poisoned");
         for handle in pool.drain(..) {
@@ -1398,6 +1408,33 @@ mod tests {
         drop(l3);
         drop(l4);
         assert_eq!(b.lease(99).granted, 4);
+    }
+
+    #[test]
+    fn immediate_shutdown_never_loses_the_wake_up() {
+        // Start and at once shut down, a thousand times: a runner
+        // caught between its shutdown check and its condvar wait must
+        // still wake. Each round runs under a deadline so a lost
+        // wake-up fails the test instead of hanging it.
+        // The window is a few instructions wide: with the flag set
+        // outside the lock, a 2-core host lost a wake-up about once per
+        // few thousand rounds, so this guards probabilistically.
+        let dir = tmp_dir("wakeup");
+        for round in 0..1000 {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let run_dir = RunDir::open(&dir).unwrap();
+            let round_thread = std::thread::spawn(move || {
+                let d = Daemon::start(DaemonConfig::default(), run_dir).unwrap();
+                d.shutdown();
+                let _ = tx.send(());
+            });
+            assert!(
+                rx.recv_timeout(std::time::Duration::from_secs(10)).is_ok(),
+                "round {round}: shutdown hung — a runner missed the wake-up"
+            );
+            round_thread.join().unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -370,7 +370,12 @@ impl JobSpec {
             }
         }
         let ga = match v.get("ga") {
-            None | Some(Json::Null) => GaConfig::default(),
+            // Daemon jobs default to one eval thread whether or not the
+            // client sent a `ga` object (`ga_config_from_json` agrees).
+            None | Some(Json::Null) => GaConfig {
+                threads: 1,
+                ..GaConfig::default()
+            },
             Some(g) => ga_config_from_json(g)?,
         };
         if ga.pop_size < 2 || ga.elitism >= ga.pop_size || ga.threads == 0 || ga.generations == 0 {

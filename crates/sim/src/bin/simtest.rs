@@ -1,142 +1,104 @@
-//! `simtest` — the seed-sweep runner.
+//! `simtest` — the seeded-scenario sweep runner.
 //!
 //! ```text
-//! simtest --seeds 200 --base-seed 1 --out BENCH_sim.json   # CI sweep
-//! simtest --seed 42 --trace                                # replay one seed
-//! simtest --store-seed 7                                   # replay one store
-//!     crash/recovery scenario
-//! simtest --mixed-seed 4                                   # replay one
-//!     mixed-problem scenario
-//! simtest --seeds 20 --broken                              # self-test: the
-//!     redispatch-disabled daemon must be caught (exit 0 iff >=1 seed fails)
-//! simtest --scale                                          # throughput-scaling
-//!     suite: virtual 1/2/4/8/16/50-worker fleet, prints the matrix and
-//!     "scale_ok: true|false" (exit 0 iff ok)
-//! simtest --scale --scale-workers 2,16                     # CI fast profile
-//! simtest --shard-seeds 50                                 # multi-tenant soak:
-//!     1000 virtual clients / 100 workers / 8 shards per seed (scale down
-//!     with --shard-clients/--shard-workers/--shard-shards/--shard-runners)
-//! simtest --shard-seed 3 --shard-clients 100               # replay one soak seed
-//! simtest --shard-bench --out BENCH_shard.json             # 1/4/16-shard
-//!     throughput bench (exit 0 iff sharded >= single-queue and no job lost)
+//! simtest --scenario base --seeds 200 --base-seed 1 --out BENCH_sim.json
+//!     # sweep one family: base | mixed | store | online | shard
+//! simtest --scenario online --seed 7 --trace      # replay one seed
+//! simtest --scenario base --seeds 12 --base-seed 9 --broken
+//!     # self-test: the redispatch-disabled daemon must be caught
+//!     # (exit 0 iff >=1 seed fails; base only)
+//! simtest --scenario shard --seeds 50 --shard-clients 1000 --shard-workers 100
+//!     # multi-tenant soak (defaults: 1000 clients, 100 workers, 8 shards)
+//! simtest --scale [--scale-workers 2,16]          # throughput-scaling suite:
+//!     # virtual 1/2/4/8/16/50-worker fleet, "scale_ok: true|false"
+//! simtest --shard-bench [--shard-bench-jobs N]    # 1/4/16-shard throughput
+//!     # bench (exit 0 iff sharded >= single-queue and no job lost)
 //! ```
 //!
-//! Sweep mode also runs `--mixed-seeds N` (default 8) mixed-problem
-//! scenarios — an `inline`, a `flags` and a `dss` job queued together
-//! on one daemon per seed, proving a heterogeneous backlog loses no
-//! job under faults — and `--store-seeds N` (default 60)
-//! persistent-store crash/recovery scenarios: each kills a store
-//! mid-append (seeded torn wal tails, compactions straddling the kill)
-//! and proves every acknowledged record survives bit-exactly.
-//!
-//! Exit status: 0 when the run's expectation holds (all seeds green, or
-//! — under `--broken` — at least one seed red), 1 otherwise. Every
-//! failing seed prints its fault trace and a one-command replay line.
+//! Every sweep prints one summary, the fault trace and a one-command
+//! replay line per failing seed, and (`--trace`) one line per seed;
+//! `--out FILE` writes the same JSON shape for every family. Exit
+//! status: 0 when the run's expectation holds (all seeds green, or —
+//! under `--broken` — at least one seed red), 1 otherwise, 2 on a usage
+//! error.
 
 use std::time::Instant;
 
+use served::checkpoint::f64_to_json;
 use served::json::Json;
-use sim::sweep::{run_mixed_seed, run_seed, run_store_seed, run_store_sweep, run_sweep, Expected};
+use sim::{sweep, Backlog, OnlineDrift, Report, ShardSoak, StoreCrash};
+
+const USAGE: &str = "usage: simtest --scenario <base|mixed|store|online|shard> \
+     (--seeds N [--base-seed S] | --seed S [--trace]) [--out FILE] [--broken] \
+     [--shard-clients N] [--shard-workers N]\n       \
+     simtest --scale [--scale-workers 1,2,...] [--base-seed S] [--out FILE]\n       \
+     simtest --shard-bench [--shard-bench-jobs N] [--shard-workers N] [--base-seed S] [--out FILE]";
 
 struct Args {
-    seeds: u64,
+    scenario: Option<String>,
+    seeds: Option<u64>,
     base_seed: u64,
-    store_seeds: u64,
-    mixed_seeds: u64,
-    one_seed: Option<u64>,
-    one_store_seed: Option<u64>,
-    one_mixed_seed: Option<u64>,
     out: Option<String>,
     trace: bool,
     broken: bool,
+    soak: ShardSoak,
     scale: bool,
     scale_workers: Vec<usize>,
-    shard_seeds: u64,
-    one_shard_seed: Option<u64>,
-    shard_scale: sim::ShardScale,
     shard_bench: bool,
     shard_bench_jobs: usize,
-    online_seeds: u64,
-    one_online_seed: Option<u64>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        seeds: 200,
+        scenario: None,
+        seeds: None,
         base_seed: 1,
-        store_seeds: 60,
-        mixed_seeds: 8,
-        one_seed: None,
-        one_store_seed: None,
-        one_mixed_seed: None,
         out: None,
         trace: false,
         broken: false,
+        soak: ShardSoak::default(),
         scale: false,
         scale_workers: sim::WORKER_COUNTS.to_vec(),
-        shard_seeds: 0,
-        one_shard_seed: None,
-        shard_scale: sim::ShardScale::default(),
         shard_bench: false,
         shard_bench_jobs: 16,
-        online_seeds: 0,
-        one_online_seed: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut grab = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match a.as_str() {
-            "--seeds" => args.seeds = num(&grab("--seeds")?)?,
+            "--scenario" => args.scenario = Some(grab("--scenario")?),
+            "--seeds" => args.seeds = Some(num(&grab("--seeds")?)?),
             "--base-seed" => args.base_seed = num(&grab("--base-seed")?)?,
-            "--store-seeds" => args.store_seeds = num(&grab("--store-seeds")?)?,
-            "--mixed-seeds" => args.mixed_seeds = num(&grab("--mixed-seeds")?)?,
-            "--seed" => args.one_seed = Some(num(&grab("--seed")?)?),
-            "--store-seed" => args.one_store_seed = Some(num(&grab("--store-seed")?)?),
-            "--mixed-seed" => args.one_mixed_seed = Some(num(&grab("--mixed-seed")?)?),
+            // A replay is a one-seed sweep.
+            "--seed" => {
+                args.base_seed = num(&grab("--seed")?)?;
+                args.seeds = Some(1);
+            }
             "--out" => args.out = Some(grab("--out")?),
             "--trace" => args.trace = true,
             "--broken" => args.broken = true,
+            "--shard-clients" => args.soak.clients = num(&grab("--shard-clients")?)? as usize,
+            "--shard-workers" => args.soak.workers = num(&grab("--shard-workers")?)? as usize,
             "--scale" => args.scale = true,
-            "--shard-seeds" => args.shard_seeds = num(&grab("--shard-seeds")?)?,
-            "--online-seeds" => args.online_seeds = num(&grab("--online-seeds")?)?,
-            "--online-seed" => args.one_online_seed = Some(num(&grab("--online-seed")?)?),
-            "--shard-seed" => args.one_shard_seed = Some(num(&grab("--shard-seed")?)?),
-            "--shard-clients" => {
-                args.shard_scale.clients = num(&grab("--shard-clients")?)? as usize;
-            }
-            "--shard-workers" => {
-                args.shard_scale.workers = num(&grab("--shard-workers")?)? as usize;
-            }
-            "--shard-shards" => {
-                args.shard_scale.shards = num(&grab("--shard-shards")?)? as usize;
-            }
-            "--shard-runners" => {
-                args.shard_scale.runners = num(&grab("--shard-runners")?)? as usize;
-            }
-            "--shard-bench" => args.shard_bench = true,
-            "--shard-bench-jobs" => {
-                args.shard_bench_jobs = num(&grab("--shard-bench-jobs")?)? as usize;
-            }
             "--scale-workers" => {
                 args.scale_workers = grab("--scale-workers")?
                     .split(',')
                     .map(|w| num(w).map(|n| n as usize))
                     .collect::<Result<_, _>>()?;
             }
+            "--shard-bench" => args.shard_bench = true,
+            "--shard-bench-jobs" => {
+                args.shard_bench_jobs = num(&grab("--shard-bench-jobs")?)? as usize;
+            }
             "--help" | "-h" => {
-                println!(
-                    "usage: simtest [--seeds N] [--base-seed S] [--store-seeds N] \
-                     [--mixed-seeds N] [--shard-seeds N] [--out FILE] [--seed X [--trace]] \
-                     [--store-seed X] [--mixed-seed X] [--shard-seed X] [--broken] \
-                     [--scale [--scale-workers 1,2,...]] \
-                     [--shard-clients N] [--shard-workers N] [--shard-shards N] \
-                     [--shard-runners N] [--shard-bench [--shard-bench-jobs N]] \
-                     [--online-seeds N] [--online-seed X]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag '{other}'")),
         }
+    }
+    if args.broken && args.scenario.as_deref() != Some("base") {
+        return Err("--broken applies only to --scenario base".into());
     }
     Ok(args)
 }
@@ -146,14 +108,7 @@ fn num(s: &str) -> Result<u64, String> {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("simtest: {e}");
-            std::process::exit(2);
-        }
-    };
-    let redispatch = !args.broken;
+    let args = parse_args().unwrap_or_else(|e| usage_error(&e));
 
     // Throughput-scaling suite mode.
     if args.scale {
@@ -213,7 +168,7 @@ fn main() {
         let report = sim::run_shard_bench(
             args.base_seed,
             args.shard_bench_jobs,
-            args.shard_scale.workers.min(16),
+            args.soak.workers.min(16),
             &sim::BENCH_SHARD_COUNTS,
         );
         println!(
@@ -243,272 +198,32 @@ fn main() {
         std::process::exit(i32::from(!ok));
     }
 
-    // Single shard-soak replay mode.
-    if let Some(seed) = args.one_shard_seed {
-        let started = Instant::now();
-        let report = sim::run_shard_seed(seed, &args.shard_scale, &mut Expected::new());
-        print_shard_seed(&report, started.elapsed().as_secs_f64());
-        for f in &report.failures {
-            println!("  {f}");
-        }
-        std::process::exit(i32::from(!report.is_ok()));
-    }
-
-    // Single online-scenario replay mode.
-    if let Some(seed) = args.one_online_seed {
-        let started = Instant::now();
-        let report = sim::run_online_seed(seed, &mut sim::OnlineExpected::new());
-        println!(
-            "online seed {seed}: {} ({:?} drift, {} retunes, {} virtual ms, {:.2}s wall, \
-             faults drop/dup/delay/blackhole = {}/{}/{}/{})",
-            report.verdict.tag(),
-            report.kind,
-            report.retunes,
-            report.virtual_ms,
-            started.elapsed().as_secs_f64(),
-            report.fault_counts.0,
-            report.fault_counts.1,
-            report.fault_counts.2,
-            report.fault_counts.3,
-        );
-        if args.trace || !report.verdict.is_ok() {
-            for line in &report.trace {
-                println!("  {line}");
-            }
-        }
-        std::process::exit(i32::from(!report.verdict.is_ok()));
-    }
-
-    // Single store-scenario replay mode.
-    if let Some(seed) = args.one_store_seed {
-        let report = run_store_seed(seed);
-        println!(
-            "store seed {seed}: {} ({} records, {} torn bytes)",
-            if report.is_ok() { "ok" } else { "FAILED" },
-            report.records,
-            report.torn_bytes,
-        );
-        for f in &report.failures {
-            println!("  {f}");
-        }
-        std::process::exit(i32::from(!report.is_ok()));
-    }
-
-    // Single mixed-problem scenario replay mode.
-    if let Some(seed) = args.one_mixed_seed {
-        let report = run_mixed_seed(seed, &mut Expected::new());
-        println!(
-            "mixed seed {seed}: {} ({} virtual ms, ga seed {})",
-            if report.is_ok() { "ok" } else { "FAILED" },
-            report.virtual_ms,
-            report.ga_seed,
-        );
-        for (problem, v) in &report.verdicts {
-            println!("  {problem}: {}", v.tag());
-        }
-        if args.trace || !report.is_ok() {
-            for line in &report.trace {
-                println!("  {line}");
-            }
-        }
-        std::process::exit(i32::from(!report.is_ok()));
-    }
-
-    // Single-seed replay mode.
-    if let Some(seed) = args.one_seed {
-        let started = Instant::now();
-        let report = run_seed(seed, &mut Expected::new(), redispatch);
-        println!(
-            "seed {seed}: {} ({} virtual ms, {:.2}s wall, faults drop/dup/delay/blackhole = {}/{}/{}/{})",
-            report.verdict.tag(),
-            report.virtual_ms,
-            started.elapsed().as_secs_f64(),
-            report.fault_counts.0,
-            report.fault_counts.1,
-            report.fault_counts.2,
-            report.fault_counts.3,
-        );
-        if args.trace || !report.verdict.is_ok() {
-            for line in &report.trace {
-                println!("  {line}");
-            }
-        }
-        std::process::exit(i32::from(!report.verdict.is_ok()));
-    }
-
-    // Sweep mode.
+    let (Some(name), Some(seeds)) = (args.scenario.as_deref(), args.seeds) else {
+        usage_error("a sweep needs --scenario and --seeds N or --seed S");
+    };
     let started = Instant::now();
-    let report = run_sweep(args.base_seed, args.seeds, redispatch);
-    let wall = started.elapsed();
-    println!(
-        "swept {} seeds ({}..{}): {} passed, {} failed in {:.2}s wall / {:.1}s virtual",
-        report.seeds,
-        report.base_seed,
-        report.base_seed + report.seeds,
-        report.passed,
-        report.failures.len(),
-        wall.as_secs_f64(),
-        report.virtual_ms as f64 / 1000.0,
-    );
-    println!(
-        "faults injected: {} dropped, {} duplicated, {} delayed, {} blackholed",
-        report.fault_counts.0, report.fault_counts.1, report.fault_counts.2, report.fault_counts.3,
-    );
-    println!(
-        "worst scenario: seed {} at {} virtual ms",
-        report.worst_seed, report.worst_virtual_ms,
-    );
-    for f in &report.failures {
-        println!("\nseed {} FAILED: {:?}", f.seed, f.verdict);
-        for line in &f.trace {
-            println!("  {line}");
-        }
-        println!("  replay: scripts/replay.sh {}", f.seed);
-    }
-
-    // The mixed-problem sweep (skipped under --broken: that mode
-    // self-tests the redispatch invariant only).
-    let mixed_report = if args.broken || args.mixed_seeds == 0 {
-        None
-    } else {
-        let started = Instant::now();
-        let r = sim::run_mixed_sweep(args.base_seed, args.mixed_seeds);
-        println!(
-            "mixed sweep: {} seeds x {} problems, {} passed, {} failed in {:.2}s \
-             ({} jobs done, {:.1}s virtual)",
-            r.seeds,
-            sim::MIXED_PROBLEMS.len(),
-            r.passed,
-            r.failures.len(),
-            started.elapsed().as_secs_f64(),
-            r.jobs_done,
-            r.virtual_ms as f64 / 1000.0,
-        );
-        for f in &r.failures {
-            println!("\nmixed seed {} FAILED:", f.seed);
-            for (problem, v) in &f.verdicts {
-                println!("  {problem}: {v:?}");
-            }
-            for line in &f.trace {
-                println!("  {line}");
-            }
-            println!("  replay: simtest --mixed-seed {}", f.seed);
-        }
-        Some(r)
+    let report = match name {
+        "base" => sweep(
+            &Backlog {
+                redispatch: !args.broken,
+                ..Backlog::BASE
+            },
+            args.base_seed,
+            seeds,
+        ),
+        "mixed" => sweep(&Backlog::MIXED, args.base_seed, seeds),
+        "store" => sweep(&StoreCrash, args.base_seed, seeds),
+        "online" => sweep(&OnlineDrift, args.base_seed, seeds),
+        "shard" => sweep(&args.soak, args.base_seed, seeds),
+        other => usage_error(&format!("unknown scenario '{other}'")),
     };
-
-    // The store crash/recovery sweep (skipped under --broken: that mode
-    // self-tests the redispatch invariant only).
-    let store_report = if args.broken || args.store_seeds == 0 {
-        None
-    } else {
-        let started = Instant::now();
-        let r = run_store_sweep(args.base_seed, args.store_seeds);
-        println!(
-            "store sweep: {} seeds, {} passed, {} failed in {:.2}s \
-             ({} records, {} scenarios with torn wal tails)",
-            r.seeds,
-            r.passed,
-            r.failures.len(),
-            started.elapsed().as_secs_f64(),
-            r.records,
-            r.torn_scenarios,
-        );
-        for f in &r.failures {
-            println!("\nstore seed {} FAILED:", f.seed);
-            for line in &f.failures {
-                println!("  {line}");
-            }
-            println!("  replay: simtest --store-seed {}", f.seed);
-        }
-        Some(r)
-    };
-
-    // The multi-tenant shard soak sweep (opt-in: `--shard-seeds N`;
-    // CI's soak stage runs it at the headline 1000-client scale).
-    let shard_report = if args.broken || args.shard_seeds == 0 {
-        None
-    } else {
-        let started = Instant::now();
-        let r = sim::run_shard_sweep(args.base_seed, args.shard_seeds, &args.shard_scale);
-        println!(
-            "shard soak: {} seeds x {} clients / {} workers / {} shards, {} passed, {} failed \
-             in {:.2}s ({} jobs done, {} queue_full rejects ridden, {} quota rejects, \
-             {:.1}s virtual)",
-            r.seeds,
-            args.shard_scale.clients,
-            args.shard_scale.workers,
-            args.shard_scale.shards,
-            r.passed,
-            r.failures.len(),
-            started.elapsed().as_secs_f64(),
-            r.jobs_done,
-            r.queue_full_rejects,
-            r.quota_rejects,
-            r.virtual_ms as f64 / 1000.0,
-        );
-        for f in &r.failures {
-            println!("\nshard seed {} FAILED:", f.seed);
-            for line in &f.failures {
-                println!("  {line}");
-            }
-            println!("  replay: simtest --shard-seed {}", f.seed);
-        }
-        Some(r)
-    };
-
-    // The online-drift sweep (opt-in: `--online-seeds N`; CI runs it at
-    // 50 seeds).
-    let online_report = if args.broken || args.online_seeds == 0 {
-        None
-    } else {
-        let started = Instant::now();
-        let r = sim::run_online_sweep(args.base_seed, args.online_seeds);
-        println!(
-            "online sweep: {} seeds, {} passed, {} failed in {:.2}s \
-             ({} retunes committed, {:.1}s virtual)",
-            r.seeds,
-            r.passed,
-            r.failures.len(),
-            started.elapsed().as_secs_f64(),
-            r.retunes,
-            r.virtual_ms as f64 / 1000.0,
-        );
-        for f in &r.failures {
-            println!(
-                "\nonline seed {} FAILED ({:?} drift): {:?}",
-                f.seed, f.kind, f.verdict
-            );
-            for line in &f.trace {
-                println!("  {line}");
-            }
-            println!("  replay: simtest --online-seed {}", f.seed);
-        }
-        Some(r)
-    };
+    let wall_secs = started.elapsed().as_secs_f64();
+    print_report(name, &report, &args, wall_secs);
 
     if let Some(path) = &args.out {
-        let json = report_json(
-            &report,
-            mixed_report.as_ref(),
-            store_report.as_ref(),
-            shard_report.as_ref(),
-            online_report.as_ref(),
-            wall.as_secs_f64(),
-            args.broken,
-        );
-        if let Err(e) = std::fs::write(path, json.to_text() + "\n") {
-            eprintln!("simtest: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        println!("summary written to {path}");
+        write_json(path, &report_json(name, &report, args.broken, wall_secs));
     }
-
-    let caught = !report.failures.is_empty();
-    let store_ok = store_report.as_ref().is_none_or(|r| r.failures.is_empty());
-    let mixed_ok = mixed_report.as_ref().is_none_or(|r| r.failures.is_empty());
-    let shard_ok = shard_report.as_ref().is_none_or(|r| r.failures.is_empty());
-    let online_ok = online_report.as_ref().is_none_or(|r| r.failures.is_empty());
+    let caught = report.failures().next().is_some();
     let ok = if args.broken {
         // Self-test: a daemon that drops re-dispatched work MUST be
         // caught by at least one seed, or the sweep has no teeth.
@@ -519,9 +234,113 @@ fn main() {
         }
         caught
     } else {
-        !caught && store_ok && mixed_ok && shard_ok && online_ok
+        !caught
     };
     std::process::exit(i32::from(!ok));
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("simtest: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+fn write_json(path: &str, json: &Json) {
+    if let Err(e) = std::fs::write(path, json.to_text() + "\n") {
+        eprintln!("simtest: cannot write {path}: {e}");
+        std::process::exit(2);
+    }
+    println!("summary written to {path}");
+}
+
+fn totals_text(totals: &std::collections::BTreeMap<&'static str, u64>) -> String {
+    totals
+        .iter()
+        .map(|(name, n)| format!("{name}={n}"))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+fn print_report(name: &str, report: &Report, args: &Args, wall_secs: f64) {
+    let seeds = report.rows.len() as u64;
+    println!(
+        "{name} sweep: {seeds} seeds ({}..{}): {} passed, {} failed in {wall_secs:.2}s wall / \
+         {:.1}s virtual",
+        report.base_seed,
+        report.base_seed + seeds,
+        report.passed(),
+        report.failures().count(),
+        report.virtual_ms() as f64 / 1000.0,
+    );
+    println!("totals: {}", totals_text(&report.totals()));
+    if let Some(w) = report.worst() {
+        println!(
+            "worst scenario: seed {} at {} virtual ms",
+            w.seed, w.virtual_ms
+        );
+    }
+    if args.trace {
+        for r in &report.rows {
+            println!(
+                "  seed {}: {} ({} virtual ms; {})",
+                r.seed,
+                if r.ok() { "ok" } else { "FAILED" },
+                r.virtual_ms,
+                totals_text(&r.totals)
+            );
+        }
+    }
+    let extra = if args.broken {
+        " --broken".to_string()
+    } else if name == "shard" {
+        format!(
+            " --shard-clients {} --shard-workers {}",
+            args.soak.clients, args.soak.workers
+        )
+    } else {
+        String::new()
+    };
+    for f in report.failures() {
+        println!("\n{name} seed {} FAILED:", f.seed);
+        for line in f.failures.iter().chain(&f.trace) {
+            println!("  {line}");
+        }
+        println!("  replay: scripts/replay.sh {name} {}{extra}", f.seed);
+    }
+}
+
+fn report_json(name: &str, report: &Report, broken: bool, wall_secs: f64) -> Json {
+    let worst = report.worst();
+    let int = |n: u64| Json::Int(n as i64);
+    Json::obj(vec![
+        ("bench", Json::Str("sim_sweep".into())),
+        ("scenario", Json::Str(name.into())),
+        ("base_seed", int(report.base_seed)),
+        ("seeds", int(report.rows.len() as u64)),
+        ("passed", int(report.passed() as u64)),
+        ("failed", int(report.failures().count() as u64)),
+        ("broken_mode", Json::Bool(broken)),
+        ("wall_secs", f64_to_json(wall_secs)),
+        ("virtual_ms", int(report.virtual_ms())),
+        ("worst_virtual_ms", int(worst.map_or(0, |w| w.virtual_ms))),
+        (
+            "worst_seed",
+            int(worst.map_or(report.base_seed, |w| w.seed)),
+        ),
+        (
+            "totals",
+            Json::Obj(
+                report
+                    .totals()
+                    .into_iter()
+                    .map(|(k, n)| (k.to_string(), int(n)))
+                    .collect(),
+            ),
+        ),
+        (
+            "failing_seeds",
+            Json::Arr(report.failures().map(|f| int(f.seed)).collect()),
+        ),
+    ])
 }
 
 fn scale_report_json(r: &sim::ScaleReport) -> Json {
@@ -529,11 +348,8 @@ fn scale_report_json(r: &sim::ScaleReport) -> Json {
         ("workers", Json::Int(r.workers as i64)),
         ("evaluations", Json::Int(r.evaluations as i64)),
         ("elapsed_virtual_us", Json::Int(r.elapsed_micros as i64)),
-        (
-            "evals_per_vsec",
-            served::checkpoint::f64_to_json(r.evals_per_sec),
-        ),
-        ("efficiency", served::checkpoint::f64_to_json(r.efficiency)),
+        ("evals_per_vsec", f64_to_json(r.evals_per_sec)),
+        ("efficiency", f64_to_json(r.efficiency)),
         ("remote_evals", Json::Int(r.remote_evals as i64)),
         ("fallback_evals", Json::Int(r.fallback_evals as i64)),
         ("batches", Json::Int(r.batches as i64)),
@@ -548,9 +364,7 @@ fn scale_json(suite: &sim::ScaleSuite, seed: u64, wall_secs: f64) -> Json {
         ("seed", Json::Int(seed as i64)),
         (
             "serial_evals_per_vsec",
-            served::checkpoint::f64_to_json(sim::scale::serial_evals_per_sec(
-                sim::scale::EVAL_COST,
-            )),
+            f64_to_json(sim::scale::serial_evals_per_sec(sim::scale::EVAL_COST)),
         ),
         (
             "sweep",
@@ -573,24 +387,8 @@ fn scale_json(suite: &sim::ScaleSuite, seed: u64, wall_secs: f64) -> Json {
             ),
         ),
         ("scale_ok", Json::Bool(suite.ok())),
-        ("wall_secs", served::checkpoint::f64_to_json(wall_secs)),
+        ("wall_secs", f64_to_json(wall_secs)),
     ])
-}
-
-fn print_shard_seed(r: &sim::ShardSeedReport, wall_secs: f64) {
-    println!(
-        "shard seed {}: {} ({} clients: {} admitted, {} done, {} queue_full rejects ridden, \
-         {} quota rejects; p95 sched delay {} us; {} virtual ms, {wall_secs:.2}s wall)",
-        r.seed,
-        if r.is_ok() { "ok" } else { "FAILED" },
-        r.clients,
-        r.admitted,
-        r.done,
-        r.queue_full_rejects,
-        r.quota_rejects,
-        r.sched_delay_p95_micros,
-        r.virtual_ms,
-    );
 }
 
 fn shard_bench_json(report: &sim::ShardBenchReport, wall_secs: f64) -> Json {
@@ -608,10 +406,7 @@ fn shard_bench_json(report: &sim::ShardBenchReport, wall_secs: f64) -> Json {
                         Json::obj(vec![
                             ("shards", Json::Int(p.shards as i64)),
                             ("virtual_ms", Json::Int(p.virtual_ms as i64)),
-                            (
-                                "jobs_per_vsec",
-                                served::checkpoint::f64_to_json(p.jobs_per_vsec),
-                            ),
+                            ("jobs_per_vsec", f64_to_json(p.jobs_per_vsec)),
                             (
                                 "sched_delay_p95_micros",
                                 Json::Int(p.sched_delay_p95_micros as i64),
@@ -627,126 +422,6 @@ fn shard_bench_json(report: &sim::ShardBenchReport, wall_secs: f64) -> Json {
             Json::Bool(report.sharded_beats_single()),
         ),
         ("shard_bench_ok", Json::Bool(report.is_ok())),
-        ("wall_secs", served::checkpoint::f64_to_json(wall_secs)),
+        ("wall_secs", f64_to_json(wall_secs)),
     ])
-}
-
-fn report_json(
-    report: &sim::SweepReport,
-    mixed: Option<&sim::MixedSweepReport>,
-    store: Option<&sim::StoreSweepReport>,
-    shard: Option<&sim::ShardSweepReport>,
-    online: Option<&sim::OnlineSweepReport>,
-    wall_secs: f64,
-    broken: bool,
-) -> Json {
-    let mut fields = vec![
-        ("bench", Json::Str("sim_sweep".into())),
-        ("base_seed", Json::Int(report.base_seed as i64)),
-        ("seeds", Json::Int(report.seeds as i64)),
-        ("passed", Json::Int(report.passed as i64)),
-        ("failed", Json::Int(report.failures.len() as i64)),
-        ("broken_mode", Json::Bool(broken)),
-        ("wall_secs", served::checkpoint::f64_to_json(wall_secs)),
-        ("virtual_ms", Json::Int(report.virtual_ms as i64)),
-        (
-            "worst_virtual_ms",
-            Json::Int(report.worst_virtual_ms as i64),
-        ),
-        ("worst_seed", Json::Int(report.worst_seed as i64)),
-        (
-            "faults",
-            Json::obj(vec![
-                ("dropped", Json::Int(report.fault_counts.0 as i64)),
-                ("duplicated", Json::Int(report.fault_counts.1 as i64)),
-                ("delayed", Json::Int(report.fault_counts.2 as i64)),
-                ("blackholed", Json::Int(report.fault_counts.3 as i64)),
-            ]),
-        ),
-        (
-            "failing_seeds",
-            Json::Arr(
-                report
-                    .failures
-                    .iter()
-                    .map(|f| Json::Int(f.seed as i64))
-                    .collect(),
-            ),
-        ),
-    ];
-    if let Some(m) = mixed {
-        fields.extend([
-            ("mixed_seeds", Json::Int(m.seeds as i64)),
-            ("mixed_passed", Json::Int(m.passed as i64)),
-            ("mixed_failed", Json::Int(m.failures.len() as i64)),
-            ("mixed_jobs_done", Json::Int(m.jobs_done as i64)),
-            (
-                "mixed_failing_seeds",
-                Json::Arr(
-                    m.failures
-                        .iter()
-                        .map(|f| Json::Int(f.seed as i64))
-                        .collect(),
-                ),
-            ),
-        ]);
-    }
-    if let Some(s) = shard {
-        fields.extend([
-            ("shard_seeds", Json::Int(s.seeds as i64)),
-            ("shard_passed", Json::Int(s.passed as i64)),
-            ("shard_failed", Json::Int(s.failures.len() as i64)),
-            ("shard_jobs_done", Json::Int(s.jobs_done as i64)),
-            (
-                "shard_queue_full_rejects",
-                Json::Int(s.queue_full_rejects as i64),
-            ),
-            ("shard_quota_rejects", Json::Int(s.quota_rejects as i64)),
-            (
-                "shard_failing_seeds",
-                Json::Arr(
-                    s.failures
-                        .iter()
-                        .map(|f| Json::Int(f.seed as i64))
-                        .collect(),
-                ),
-            ),
-        ]);
-    }
-    if let Some(o) = online {
-        fields.extend([
-            ("online_seeds", Json::Int(o.seeds as i64)),
-            ("online_passed", Json::Int(o.passed as i64)),
-            ("online_failed", Json::Int(o.failures.len() as i64)),
-            ("online_retunes", Json::Int(o.retunes as i64)),
-            (
-                "online_failing_seeds",
-                Json::Arr(
-                    o.failures
-                        .iter()
-                        .map(|f| Json::Int(f.seed as i64))
-                        .collect(),
-                ),
-            ),
-        ]);
-    }
-    if let Some(s) = store {
-        fields.extend([
-            ("store_seeds", Json::Int(s.seeds as i64)),
-            ("store_passed", Json::Int(s.passed as i64)),
-            ("store_failed", Json::Int(s.failures.len() as i64)),
-            ("store_records", Json::Int(s.records as i64)),
-            ("store_torn_scenarios", Json::Int(s.torn_scenarios as i64)),
-            (
-                "store_failing_seeds",
-                Json::Arr(
-                    s.failures
-                        .iter()
-                        .map(|f| Json::Int(f.seed as i64))
-                        .collect(),
-                ),
-            ),
-        ]);
-    }
-    Json::obj(fields)
 }

@@ -7,7 +7,7 @@
 //! partitions (half-open connections), full partitions, worker crashes
 //! and restarts. Everything is derived from one `u64` seed, so a CI
 //! sweep covers hundreds of fault schedules in seconds and any failure
-//! replays with `simtest --seed N --trace`.
+//! replays with `simtest --scenario <name> --seed N --trace`.
 //!
 //! The approach is FoundationDB-style simulation testing, scaled to
 //! this repo: the production code under test is the *real* dispatch,
@@ -40,23 +40,23 @@
 //!   dispatcher beats serial at 2 workers and holds ≥ 70 % parallel
 //!   efficiency at 16, while staying exactly-once and bit-identical
 //!   under seeded fault sweeps.
-//! * [`online`] — the online-drift sweep: drifting workloads, the
-//!   drift detector, and warm retunes running inside the simulated
-//!   cluster, asserted bit-identical — per-epoch rows included —
-//!   against the in-process reference runner, with bounded regret
-//!   after every detection.
-//! * [`shard_soak`] — the multi-tenant soak: a thousand virtual clients
-//!   over a shared hundred-worker fleet against the sharded control
-//!   plane (admission, quotas, DRR fairness, bit-identity), plus the
-//!   1/4/16-shard throughput bench behind `BENCH_shard.json`.
-//! * [`sweep`] — seed-derived scenarios, the per-seed driver, and sweep
-//!   reports (`simtest` is a thin CLI over this). Includes the
-//!   persistent-store crash/recovery sweep ([`run_store_sweep`]): kill a
-//!   store mid-append under seeded torn-tail schedules and prove no
-//!   acknowledged record is lost or corrupted. Also the mixed-problem
-//!   sweep ([`run_mixed_sweep`]): one `inline`, one `flags` and one
-//!   `dss` job queued on a single daemon per scenario, proving a
-//!   heterogeneous backlog loses no job under the same fault weather.
+//! * [`mod@sweep`] — the [`Scenario`] trait and its one driver, [`sweep()`]:
+//!   seed-derived scenarios, shared cluster [`Weather`], one [`Row`]
+//!   per seed (`simtest --scenario <name>` is a thin CLI over this).
+//!   Hosts the `base`/`mixed` job-backlog family ([`Backlog`]) and the
+//!   `store` crash/recovery family ([`StoreCrash`]): kill a store
+//!   mid-append under seeded torn-tail schedules and prove no
+//!   acknowledged record is lost or corrupted.
+//! * [`online`] — the `online` family ([`OnlineDrift`]): drifting
+//!   workloads, the drift detector, and warm retunes running inside the
+//!   simulated cluster, asserted bit-identical — per-epoch rows
+//!   included — against the in-process reference runner, with bounded
+//!   regret after every detection.
+//! * [`shard_soak`] — the `shard` family ([`ShardSoak`]): a thousand
+//!   virtual clients over a shared hundred-worker fleet against the
+//!   sharded control plane (admission, quotas, DRR fairness,
+//!   bit-identity), plus the 1/4/16-shard throughput bench behind
+//!   `BENCH_shard.json`.
 
 pub mod cluster;
 pub mod net;
@@ -67,21 +67,16 @@ pub mod sweep;
 
 pub use cluster::{Cluster, ClusterConfig, Outcome, DAEMON_ADDR};
 pub use net::{FaultPlan, SimNet, TraceEvent, GRACE};
-pub use online::{
-    run_online_seed, run_online_sweep, OnlineExpected, OnlineScenario, OnlineSeedReport,
-    OnlineSweepReport,
-};
+pub use online::{online_reference, OnlineDrift, OnlineExpected, OnlinePlan};
 pub use scale::{
     run_scale, run_scale_suite, run_scale_to, ScaleConfig, ScaleReport, ScaleSuite,
     MEASURE_ATTEMPTS, MIN_EFFICIENCY_AT_16, WORKER_COUNTS,
 };
 pub use shard_soak::{
-    run_shard_bench, run_shard_seed, run_shard_sweep, ShardBenchPoint, ShardBenchReport,
-    ShardScale, ShardSeedReport, ShardSweepReport, BENCH_SHARD_COUNTS, CAPPED_TENANT,
-    SOAK_DEADLINE, TENANTS,
+    run_shard_bench, ShardBenchPoint, ShardBenchReport, ShardPlan, ShardSoak, BENCH_SHARD_COUNTS,
+    CAPPED_TENANT, SOAK_DEADLINE, TENANTS,
 };
 pub use sweep::{
-    run_mixed_seed, run_mixed_sweep, run_seed, run_store_seed, run_store_sweep, run_sweep,
-    MixedSeedReport, MixedSweepReport, Scenario, SeedReport, StoreScenario, StoreSeedReport,
-    StoreSweepReport, SweepReport, Verdict, MIXED_PROBLEMS,
+    sweep, Backlog, BacklogPlan, Event, Expected, Fault, Report, Row, Scenario, StoreCrash,
+    StorePlan, Weather, MIXED_PROBLEMS, SCENARIO_DEADLINE,
 };

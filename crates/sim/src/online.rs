@@ -3,9 +3,9 @@
 //! all running inside the simulated cluster — checked against the
 //! in-process reference runner ([`online::OnlineJob`]) epoch by epoch.
 //!
-//! A scenario derives everything from its seed, exactly like
-//! [`crate::sweep::Scenario`]: frame-level fault probabilities, an
-//! optional crash + restart, an optional partition + heal, and the
+//! A scenario derives everything from its seed through the same
+//! [`Weather`] as the `base` family — frame-level fault probabilities,
+//! an optional crash + restart, an optional partition + heal — plus the
 //! job's identity — drift kind, GA seed, drift seed — drawn from small
 //! pools so a 50-seed sweep pays for only a handful of reference runs.
 //! What the sweep asserts per seed, on top of the usual no-lost-jobs /
@@ -23,16 +23,16 @@
 //!   incumbent, detection latency stays inside the window/period
 //!   bound, probes hold steady inside a constant workload phase.
 //!
-//! Replay a failure with `simtest --online-seed N`.
+//! Replay a failure with `simtest --scenario online --seed N --trace`.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use simrng::child_rng;
 use workloads::DriftKind;
 
 use crate::cluster::{Cluster, ClusterConfig, Outcome};
-use crate::net::FaultPlan;
-use crate::sweep::{Event, Verdict, SCENARIO_DEADLINE};
+use crate::sweep::{Row, Run, Scenario, Weather};
 
 use online::{OnlineJob, OnlineReport};
 use served::job::{JobSpec, OnlineSpec};
@@ -49,15 +49,17 @@ const DRIFT_SEEDS: [u64; 2] = [11, 29];
 /// detection, not just the initial tune.
 const EPOCHS: u64 = 6;
 
-/// A fully derived online scenario.
+/// `online`: one drifting online job per seed under seeded weather.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OnlineDrift;
+
+/// A derived `online` scenario.
 #[derive(Debug, Clone)]
-pub struct OnlineScenario {
+pub struct OnlinePlan {
     /// The root seed.
     pub seed: u64,
-    /// Frame-level faults on every daemon↔worker link.
-    pub plan: FaultPlan,
-    /// Timed crash/partition events, ascending by time.
-    pub events: Vec<Event>,
+    /// Frame faults and timed events.
+    pub weather: Weather,
     /// The drift schedule's shape.
     pub kind: DriftKind,
     /// The job's GA seed (picks search trajectories).
@@ -68,43 +70,7 @@ pub struct OnlineScenario {
     pub workers: usize,
 }
 
-impl OnlineScenario {
-    /// Derives the scenario a seed denotes. Pure: same seed, same
-    /// scenario, on every machine and every run.
-    #[must_use]
-    pub fn derive(seed: u64) -> Self {
-        let mut rng = child_rng(seed, "sim/online-scenario");
-        let plan = FaultPlan {
-            drop_p: rng.f64() * 0.12,
-            dup_p: rng.f64() * 0.04,
-            delay_p: rng.f64() * 0.35,
-            delay_max_micros: 1_000 + rng.below(25_000),
-        };
-        let mut events = Vec::new();
-        if rng.chance(0.5) {
-            let crash_at = 40 + rng.below(220);
-            let restart_at = crash_at + 40 + rng.below(180);
-            events.push(Event::Crash { at_ms: crash_at });
-            events.push(Event::Restart { at_ms: restart_at });
-        }
-        if rng.chance(0.35) {
-            let cut_at = 20 + rng.below(260);
-            let heal_at = cut_at + 30 + rng.below(200);
-            events.push(Event::Partition { at_ms: cut_at });
-            events.push(Event::Heal { at_ms: heal_at });
-        }
-        events.sort_by_key(|e| e.at_ms());
-        Self {
-            seed,
-            plan,
-            events,
-            kind: *rng.choose(&DriftKind::ALL),
-            ga_seed: *rng.choose(&GA_SEEDS),
-            drift_seed: *rng.choose(&DRIFT_SEEDS),
-            workers: 2,
-        }
-    }
-
+impl OnlinePlan {
     /// The job spec this scenario submits: [`Cluster::spec`] plus an
     /// online section tight enough that drift detection fires within
     /// the sweep (one-probe window, 2 % threshold).
@@ -123,25 +89,6 @@ impl OnlineScenario {
         });
         spec
     }
-}
-
-/// One online scenario's report.
-#[derive(Debug, Clone)]
-pub struct OnlineSeedReport {
-    /// The scenario seed.
-    pub seed: u64,
-    /// The drift kind the scenario ran.
-    pub kind: DriftKind,
-    /// The invariant verdict.
-    pub verdict: Verdict,
-    /// Retunes the daemon committed (0 until the job finishes).
-    pub retunes: u64,
-    /// Virtual ms from submission to terminal state (or to giving up).
-    pub virtual_ms: u64,
-    /// Fault-trace lines, populated only for failing seeds.
-    pub trace: Vec<String>,
-    /// Frames dropped / duplicated / delayed / blackholed.
-    pub fault_counts: (u64, u64, u64, u64),
 }
 
 /// Reference-run cache shared across a sweep, keyed by
@@ -172,113 +119,78 @@ pub fn online_reference(spec: &JobSpec) -> Result<OnlineReport, String> {
     .run(None)
 }
 
-/// Runs one online scenario seed and checks every invariant.
-/// `expected` caches reference runs across calls.
-#[must_use]
-pub fn run_online_seed(seed: u64, expected: &mut OnlineExpected) -> OnlineSeedReport {
-    let scenario = OnlineScenario::derive(seed);
-    match run_online_scenario(&scenario, expected) {
-        Ok(report) => report,
-        Err(e) => OnlineSeedReport {
+impl Scenario for OnlineDrift {
+    type Plan = OnlinePlan;
+    type Cache = OnlineExpected;
+
+    fn derive(&self, seed: u64) -> OnlinePlan {
+        let mut rng = child_rng(seed, "sim/online-scenario");
+        let workers = 2;
+        let weather = Weather::derive(&mut rng, workers);
+        OnlinePlan {
             seed,
-            kind: scenario.kind,
-            verdict: Verdict::Broken { detail: e },
-            retunes: 0,
-            virtual_ms: 0,
-            trace: Vec::new(),
-            fault_counts: (0, 0, 0, 0),
-        },
+            weather,
+            kind: *rng.choose(&DriftKind::ALL),
+            ga_seed: *rng.choose(&GA_SEEDS),
+            drift_seed: *rng.choose(&DRIFT_SEEDS),
+            workers,
+        }
     }
-}
 
-fn run_online_scenario(
-    scenario: &OnlineScenario,
-    expected: &mut OnlineExpected,
-) -> Result<OnlineSeedReport, String> {
-    let spec = scenario.spec();
-    let key = (scenario.kind.name(), scenario.ga_seed, scenario.drift_seed);
-    if !expected.contains_key(&key) {
-        expected.insert(key, online_reference(&spec)?);
-    }
-    let want = expected[&key].clone();
-
-    let cluster = Cluster::boot(&ClusterConfig {
-        seed: scenario.seed,
-        workers: scenario.workers,
-        plan: scenario.plan,
-        // Store-free on purpose: warm-start transfer reseeds retunes
-        // from store cells, which is a deliberate trajectory change —
-        // the bit-identity reference is the store-free runner.
-        store: false,
-        ..ClusterConfig::default()
-    })?;
-    let started_ms = cluster.now_ms();
-    let id = cluster.submit(&spec)?;
-
-    let mut pending = scenario.events.clone();
-    let part_target = scenario.workers.saturating_sub(1);
-    let outcome = cluster.wait(id, SCENARIO_DEADLINE, |now_ms| {
-        while pending
-            .first()
-            .is_some_and(|e| now_ms.saturating_sub(started_ms) >= e.at_ms())
-        {
-            match pending.remove(0) {
-                Event::Crash { .. } => cluster.crash_worker(0),
-                Event::Restart { .. } => {
-                    let _ = cluster.restart_worker(0);
+    fn run(&self, plan: &OnlinePlan, expected: &mut OnlineExpected) -> Row {
+        let mut row = Row::new(plan.seed);
+        let spec = plan.spec();
+        let want = match expected.entry((plan.kind.name(), plan.ga_seed, plan.drift_seed)) {
+            Entry::Occupied(cell) => cell.into_mut(),
+            Entry::Vacant(cell) => match online_reference(&spec) {
+                Ok(want) => cell.insert(want),
+                Err(e) => {
+                    row.failures.push(format!("reference run: {e}"));
+                    return row;
                 }
-                Event::Partition { .. } => cluster.partition_worker(part_target),
-                Event::Heal { .. } => cluster.heal_worker(part_target),
-            }
-        }
-    });
-    let virtual_ms = cluster.now_ms() - started_ms;
-    let counts = count_faults(&cluster);
-
-    let (verdict, retunes) = match &outcome {
-        Outcome::Hang { waited_ms } => {
-            let waited_ms = *waited_ms;
-            let trace = trace_lines(&cluster);
-            cluster.abandon();
-            return Ok(OnlineSeedReport {
-                seed: scenario.seed,
-                kind: scenario.kind,
-                verdict: Verdict::Hang { waited_ms },
-                retunes: 0,
-                virtual_ms,
-                trace,
-                fault_counts: counts,
-            });
-        }
-        Outcome::Failed(msg) => (
-            Verdict::Broken {
-                detail: msg.clone(),
             },
-            0,
-        ),
-        Outcome::Done { genes, fitness, .. } => {
-            match check_against(&cluster, id, genes, *fitness, &want, &spec) {
-                Ok(retunes) => (Verdict::Ok, retunes),
-                Err(v) => (v, 0),
+        };
+
+        let config = ClusterConfig {
+            seed: plan.seed,
+            workers: plan.workers,
+            plan: plan.weather.plan,
+            // Store-free on purpose: warm-start transfer reseeds retunes
+            // from store cells, which is a deliberate trajectory change —
+            // the bit-identity reference is the store-free runner.
+            store: false,
+            ..ClusterConfig::default()
+        };
+        let mut run = match Run::boot(&config, &plan.weather.events) {
+            Ok(run) => run,
+            Err(e) => {
+                row.failures.push(e);
+                return row;
+            }
+        };
+        let id = match run.cluster.submit(&spec) {
+            Ok(id) => id,
+            Err(e) => {
+                row.failures.push(format!("submit: {e}"));
+                return run.finish(row, true);
+            }
+        };
+        match run.wait(id) {
+            Outcome::Hang { waited_ms } => {
+                row.failures
+                    .push(format!("hang: not terminal after {waited_ms} virtual ms"));
+                return run.finish(row, true);
+            }
+            Outcome::Failed(msg) => row.failures.push(msg),
+            Outcome::Done { genes, fitness, .. } => {
+                match check_against(&run.cluster, id, &genes, fitness, want, &spec) {
+                    Ok(retunes) => row.add("retunes", retunes),
+                    Err(e) => row.failures.push(e),
+                }
             }
         }
-    };
-
-    let trace = if verdict.is_ok() {
-        Vec::new()
-    } else {
-        trace_lines(&cluster)
-    };
-    cluster.shutdown();
-    Ok(OnlineSeedReport {
-        seed: scenario.seed,
-        kind: scenario.kind,
-        verdict,
-        retunes,
-        virtual_ms,
-        trace,
-        fault_counts: counts,
-    })
+        run.finish(row, false)
+    }
 }
 
 /// The online bit-identity check: final genome + fitness bits, then
@@ -292,18 +204,14 @@ fn check_against(
     fitness: f64,
     want: &OnlineReport,
     spec: &JobSpec,
-) -> Result<u64, Verdict> {
+) -> Result<u64, String> {
     if genes != want.genes || fitness.to_bits() != want.fitness.to_bits() {
-        return Err(Verdict::Mismatch {
-            detail: format!(
-                "got {genes:?} @ {fitness}, reference run gives {:?} @ {}",
-                want.genes, want.fitness
-            ),
-        });
+        return Err(format!(
+            "got {genes:?} @ {fitness}, reference run gives {:?} @ {}",
+            want.genes, want.fitness
+        ));
     }
-    let snap = cluster
-        .online_snapshot(id)
-        .map_err(|detail| Verdict::Broken { detail })?;
+    let snap = cluster.online_snapshot(id)?;
     let got = OnlineReport {
         rows: snap.rows,
         retunes: snap.retunes,
@@ -313,104 +221,27 @@ fn check_against(
         fitness,
     };
     if got != *want {
-        return Err(Verdict::Mismatch {
-            detail: format!(
-                "trajectory diverged: daemon rows/retunes/latencies/evals \
-                 {:?}/{}/{:?}/{} vs reference {:?}/{}/{:?}/{}",
-                got.rows,
-                got.retunes,
-                got.detect_latencies,
-                got.evals,
-                want.rows,
-                want.retunes,
-                want.detect_latencies,
-                want.evals,
-            ),
-        });
+        return Err(format!(
+            "trajectory diverged: daemon rows/retunes/latencies/evals \
+             {:?}/{}/{:?}/{} vs reference {:?}/{}/{:?}/{}",
+            got.rows,
+            got.retunes,
+            got.detect_latencies,
+            got.evals,
+            want.rows,
+            want.retunes,
+            want.detect_latencies,
+            want.evals,
+        ));
     }
     let cfg = spec.online.as_ref().expect("online scenario spec").config();
     let violations = got.violations(&cfg);
     if !violations.is_empty() {
-        return Err(Verdict::Broken {
-            detail: format!("regret invariants violated: {}", violations.join("; ")),
-        });
+        return Err(format!(
+            "regret invariants violated: {}",
+            violations.join("; ")
+        ));
     }
-    cluster
-        .checkpoints_loadable()
-        .map_err(|detail| Verdict::Broken { detail })?;
+    cluster.checkpoints_loadable()?;
     Ok(got.retunes)
-}
-
-fn trace_lines(cluster: &Cluster) -> Vec<String> {
-    cluster
-        .net()
-        .trace()
-        .iter()
-        .map(ToString::to_string)
-        .collect()
-}
-
-fn count_faults(cluster: &Cluster) -> (u64, u64, u64, u64) {
-    use crate::net::TraceEvent;
-    let mut c = (0, 0, 0, 0);
-    for e in cluster.net().trace() {
-        match e {
-            TraceEvent::Drop { .. } => c.0 += 1,
-            TraceEvent::Dup { .. } => c.1 += 1,
-            TraceEvent::Delay { .. } => c.2 += 1,
-            TraceEvent::Partitioned { .. } => c.3 += 1,
-            TraceEvent::Note { .. } => {}
-        }
-    }
-    c
-}
-
-/// A whole online sweep's summary.
-#[derive(Debug, Clone)]
-pub struct OnlineSweepReport {
-    /// First seed swept.
-    pub base_seed: u64,
-    /// Seeds swept.
-    pub seeds: u64,
-    /// Seeds on which every invariant held.
-    pub passed: u64,
-    /// Failing reports (empty on a green sweep).
-    pub failures: Vec<OnlineSeedReport>,
-    /// Total retunes committed across passing seeds — evidence the
-    /// sweep exercised detection, not just initial tunes.
-    pub retunes: u64,
-    /// Total frames dropped / duplicated / delayed / blackholed.
-    pub fault_counts: (u64, u64, u64, u64),
-    /// Accumulated virtual milliseconds simulated.
-    pub virtual_ms: u64,
-}
-
-/// Sweeps `seeds` online scenarios starting at `base_seed`.
-#[must_use]
-pub fn run_online_sweep(base_seed: u64, seeds: u64) -> OnlineSweepReport {
-    let mut expected = OnlineExpected::new();
-    let mut report = OnlineSweepReport {
-        base_seed,
-        seeds,
-        passed: 0,
-        failures: Vec::new(),
-        retunes: 0,
-        fault_counts: (0, 0, 0, 0),
-        virtual_ms: 0,
-    };
-    for seed in base_seed..base_seed + seeds {
-        let r = run_online_seed(seed, &mut expected);
-        report.fault_counts.0 += r.fault_counts.0;
-        report.fault_counts.1 += r.fault_counts.1;
-        report.fault_counts.2 += r.fault_counts.2;
-        report.fault_counts.3 += r.fault_counts.3;
-        report.virtual_ms += r.virtual_ms;
-        report.retunes += r.retunes;
-        if r.verdict.is_ok() {
-            report.passed += 1;
-        } else {
-            report.failures.push(r);
-        }
-    }
-    report
 }

@@ -40,16 +40,12 @@ use simrng::child_rng;
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::net::FaultPlan;
-use crate::sweep::Expected;
+use crate::sweep::{reference, Expected, Row, Run, Scenario, Weather, GA_SEEDS};
 
 /// Virtual-time budget for a whole soak scenario (submission through
 /// the last job's terminal state). Generous: the backlog is long but
 /// store-hit jobs finish in virtual microseconds.
 pub const SOAK_DEADLINE: Duration = Duration::from_secs(1200);
-
-/// GA seeds soak clients draw from (small on purpose: ground truths and
-/// store cells are shared across the sweep).
-const GA_SEEDS: [u64; 4] = [1, 7, 23, 77];
 
 /// The tenant roster every soak scenario uses. `capped` carries an
 /// eval-budget quota sized so that some of its submissions *must* be
@@ -60,9 +56,9 @@ pub const TENANTS: [&str; 4] = ["alpha", "beta", "gamma", "capped"];
 /// The quota-capped member of [`TENANTS`].
 pub const CAPPED_TENANT: &str = "capped";
 
-/// Scale knobs for one soak scenario.
+/// `shard`: the multi-tenant soak at one scale.
 #[derive(Debug, Clone)]
-pub struct ShardScale {
+pub struct ShardSoak {
     /// Virtual clients; each submits one job (retrying structured
     /// `queue_full` rejects until admitted or terminally rejected).
     pub clients: usize,
@@ -74,7 +70,7 @@ pub struct ShardScale {
     pub runners: usize,
 }
 
-impl Default for ShardScale {
+impl Default for ShardSoak {
     fn default() -> Self {
         Self {
             clients: 1000,
@@ -85,131 +81,15 @@ impl Default for ShardScale {
     }
 }
 
-/// One timed fault against a specific worker index.
-#[derive(Debug, Clone, Copy)]
-enum Fault {
-    Crash { at_ms: u64, worker: usize },
-    Restart { at_ms: u64, worker: usize },
-    Partition { at_ms: u64, worker: usize },
-    Heal { at_ms: u64, worker: usize },
-}
-
-impl Fault {
-    fn at_ms(self) -> u64 {
-        match self {
-            Fault::Crash { at_ms, .. }
-            | Fault::Restart { at_ms, .. }
-            | Fault::Partition { at_ms, .. }
-            | Fault::Heal { at_ms, .. } => at_ms,
-        }
-    }
-
-    fn fire(self, cluster: &Cluster) {
-        match self {
-            Fault::Crash { worker, .. } => cluster.crash_worker(worker),
-            Fault::Restart { worker, .. } => {
-                let _ = cluster.restart_worker(worker);
-            }
-            Fault::Partition { worker, .. } => cluster.partition_worker(worker),
-            Fault::Heal { worker, .. } => cluster.heal_worker(worker),
-        }
-    }
-}
-
-/// One soak scenario's report. Green iff `failures` is empty.
+/// A derived `shard` scenario.
 #[derive(Debug, Clone)]
-pub struct ShardSeedReport {
-    /// The scenario seed.
+pub struct ShardPlan {
+    /// The root seed.
     pub seed: u64,
-    /// Clients that submitted.
-    pub clients: usize,
-    /// Jobs the admission controller accepted.
-    pub admitted: u64,
-    /// Structured retryable `queue_full` rejects clients rode through.
-    pub queue_full_rejects: u64,
-    /// Structured terminal `quota` rejects (capped tenant only).
-    pub quota_rejects: u64,
-    /// Admitted jobs that reached `done` with the bit-exact result.
-    pub done: u64,
-    /// Broken invariants, in the order they were caught.
-    pub failures: Vec<String>,
-    /// Virtual ms from first submission to the last terminal state.
-    pub virtual_ms: u64,
-    /// p95 scheduling delay (enqueue → claim), virtual microseconds.
-    pub sched_delay_p95_micros: u64,
-}
-
-impl ShardSeedReport {
-    /// Whether every invariant held.
-    #[must_use]
-    pub fn is_ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-fn soak_broken(seed: u64, clients: usize, detail: String) -> ShardSeedReport {
-    ShardSeedReport {
-        seed,
-        clients,
-        admitted: 0,
-        queue_full_rejects: 0,
-        quota_rejects: 0,
-        done: 0,
-        failures: vec![detail],
-        virtual_ms: 0,
-        sched_delay_p95_micros: 0,
-    }
-}
-
-/// Derives the fault schedule a soak seed denotes: frame-level faults
-/// on every daemon↔worker link plus one or two crash/restart pairs and
-/// an optional partition/heal pair, each aimed at a seeded worker
-/// index.
-fn derive_faults(seed: u64, workers: usize) -> (FaultPlan, Vec<Fault>) {
-    let mut rng = child_rng(seed, "sim/shard");
-    let plan = FaultPlan {
-        drop_p: rng.f64() * 0.08,
-        dup_p: rng.f64() * 0.03,
-        delay_p: rng.f64() * 0.30,
-        delay_max_micros: 1_000 + rng.below(15_000),
-    };
-    let mut faults = Vec::new();
-    for _ in 0..=rng.below(2) {
-        let worker = rng.below(workers as u64) as usize;
-        let crash_at = 40 + rng.below(400);
-        faults.push(Fault::Crash {
-            at_ms: crash_at,
-            worker,
-        });
-        faults.push(Fault::Restart {
-            at_ms: crash_at + 40 + rng.below(300),
-            worker,
-        });
-    }
-    if rng.chance(0.6) {
-        let worker = rng.below(workers as u64) as usize;
-        let cut_at = 20 + rng.below(400);
-        faults.push(Fault::Partition {
-            at_ms: cut_at,
-            worker,
-        });
-        faults.push(Fault::Heal {
-            at_ms: cut_at + 30 + rng.below(250),
-            worker,
-        });
-    }
-    faults.sort_by_key(|f| f.at_ms());
-    (plan, faults)
-}
-
-fn fire_due(cluster: &Cluster, started_ms: u64, pending: &mut Vec<Fault>) {
-    let now = cluster.now_ms();
-    while pending
-        .first()
-        .is_some_and(|f| now.saturating_sub(started_ms) >= f.at_ms())
-    {
-        pending.remove(0).fire(cluster);
-    }
+    /// Frame faults and timed events over the whole fleet.
+    pub weather: Weather,
+    /// Each client's GA seed, in submission order.
+    pub client_ga_seeds: Vec<u64>,
 }
 
 /// What one submission attempt came back with.
@@ -248,238 +128,221 @@ fn try_submit(client: &mut Client, spec: &JobSpec) -> Admission {
     }
 }
 
-/// Runs one soak scenario seed and checks every invariant. `expected`
-/// caches fault-free ground truths (shared across a sweep — clients
-/// draw from the same small GA-seed pool).
-#[must_use]
-#[allow(clippy::too_many_lines)]
-pub fn run_shard_seed(seed: u64, scale: &ShardScale, expected: &mut Expected) -> ShardSeedReport {
-    let (plan, faults) = derive_faults(seed, scale.workers);
-    let mut rng = child_rng(seed, "sim/shard/clients");
+impl Scenario for ShardSoak {
+    type Plan = ShardPlan;
+    type Cache = Expected;
 
-    // Ground truths up front (outside the cluster's virtual clock).
-    for ga_seed in GA_SEEDS {
-        let spec = Cluster::spec(ga_seed);
-        expected
-            .entry((spec.problem.clone(), ga_seed))
-            .or_insert_with(|| {
-                let (g, f) = Cluster::expected(&spec).expect("reference tune of a valid spec");
-                (g, f.to_bits())
-            });
+    fn derive(&self, seed: u64) -> ShardPlan {
+        let weather = Weather::soak(&mut child_rng(seed, "sim/shard"), self.workers);
+        let mut rng = child_rng(seed, "sim/shard/clients");
+        ShardPlan {
+            seed,
+            weather,
+            client_ga_seeds: (0..self.clients).map(|_| *rng.choose(&GA_SEEDS)).collect(),
+        }
     }
 
-    // Size the capped tenant's budget so roughly a quarter of its
-    // clients can admit by estimate — the rest must see `quota`.
-    let per_job = Cluster::spec(1).eval_estimate();
-    let capped_clients = scale.clients.div_ceil(TENANTS.len());
-    let quota = per_job * (capped_clients as u64 / 4).max(1);
-
-    let cluster = match Cluster::boot(&ClusterConfig {
-        seed,
-        workers: scale.workers,
-        plan,
-        redispatch: true,
-        shards: scale.shards,
-        runners: scale.runners,
-        // Deliberately smaller than the backlog: the soak must ride
-        // through structured queue_full rejects, not sidestep them.
-        queue_capacity: (scale.clients / (16 * scale.shards.max(1))).max(4),
-        tenant_quotas: vec![(CAPPED_TENANT.to_string(), quota)],
-        store: true,
-    }) {
-        Ok(c) => c,
-        Err(e) => return soak_broken(seed, scale.clients, format!("boot: {e}")),
-    };
-    let mut client = match cluster.client() {
-        Ok(c) => c,
-        Err(e) => {
-            cluster.abandon();
-            return soak_broken(seed, scale.clients, format!("connect: {e}"));
+    #[allow(clippy::too_many_lines)]
+    fn run(&self, plan: &ShardPlan, expected: &mut Expected) -> Row {
+        let seed = plan.seed;
+        let mut row = Row::new(seed);
+        // Ground truths up front (outside the cluster's virtual clock).
+        for ga_seed in GA_SEEDS {
+            reference(expected, &Cluster::spec(ga_seed));
         }
-    };
 
-    let started_ms = cluster.now_ms();
-    let give_up_ms = started_ms + SOAK_DEADLINE.as_millis() as u64;
-    let mut pending = faults;
-    let mut failures = Vec::new();
-    let mut admitted: Vec<(u64, u64, String)> = Vec::new(); // (id, ga_seed, tenant)
-    let mut queue_full_rejects = 0u64;
-    let mut quota_rejects = 0u64;
+        // Size the capped tenant's budget so roughly a quarter of its
+        // clients can admit by estimate — the rest must see `quota`.
+        let per_job = Cluster::spec(1).eval_estimate();
+        let capped_clients = self.clients.div_ceil(TENANTS.len());
+        let quota = per_job * (capped_clients as u64 / 4).max(1);
 
-    // Submission phase: every client submits one job, riding through
-    // retryable rejects while the runners drain the backlog underneath.
-    'clients: for c in 0..scale.clients {
-        let tenant = TENANTS[c % TENANTS.len()];
-        let ga_seed = *rng.choose(&GA_SEEDS);
-        let spec = JobSpec {
-            name: format!("soak-{seed}-{c}"),
-            tenant: tenant.to_string(),
-            ..Cluster::spec(ga_seed)
+        let config = ClusterConfig {
+            seed,
+            workers: self.workers,
+            plan: plan.weather.plan,
+            redispatch: true,
+            shards: self.shards,
+            runners: self.runners,
+            // Deliberately smaller than the backlog: the soak must ride
+            // through structured queue_full rejects, not sidestep them.
+            queue_capacity: (self.clients / (16 * self.shards.max(1))).max(4),
+            tenant_quotas: vec![(CAPPED_TENANT.to_string(), quota)],
+            store: true,
         };
-        loop {
-            fire_due(&cluster, started_ms, &mut pending);
-            match try_submit(&mut client, &spec) {
-                Admission::Admitted(id) => {
-                    admitted.push((id, ga_seed, tenant.to_string()));
-                    break;
-                }
-                Admission::QueueFull => {
-                    queue_full_rejects += 1;
-                    if cluster.now_ms() >= give_up_ms {
-                        failures.push(format!("client {c}: still queue_full at the soak deadline"));
-                        break 'clients;
-                    }
-                    cluster.advance(Duration::from_millis(20));
-                }
-                Admission::Quota => {
-                    quota_rejects += 1;
-                    if tenant != CAPPED_TENANT {
-                        failures.push(format!("client {c}: quota reject for uncapped '{tenant}'"));
-                    }
-                    break;
-                }
-                Admission::Broken(detail) => {
-                    failures.push(format!("client {c}: {detail}"));
-                    // The control link is fault-free; try a reconnect
-                    // once rather than abandoning the whole scenario.
-                    match cluster.client() {
-                        Ok(fresh) => client = fresh,
-                        Err(e) => {
-                            failures.push(format!("reconnect: {e}"));
-                            break 'clients;
-                        }
-                    }
-                    break;
-                }
+        let mut run = match Run::boot(&config, &plan.weather.events) {
+            Ok(run) => run,
+            Err(e) => {
+                row.failures.push(e);
+                return row;
             }
-        }
-    }
+        };
+        let mut client = match run.cluster.client() {
+            Ok(c) => c,
+            Err(e) => {
+                row.failures.push(format!("connect: {e}"));
+                return run.finish(row, true);
+            }
+        };
 
-    // Drain phase: poll every admitted job to a terminal state through
-    // the protocol, firing the remaining timed faults as the virtual
-    // clock passes them, then check results against the authoritative
-    // daemon record (exact bits, not JSON round-trips).
-    let mut done = 0u64;
-    let mut hung = false;
-    for (id, ga_seed, tenant) in &admitted {
-        loop {
-            fire_due(&cluster, started_ms, &mut pending);
-            let state = match client.status(*id) {
-                Ok(job) => job
-                    .get("state")
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .unwrap_or_default(),
-                Err(_) => match cluster.client() {
-                    Ok(fresh) => {
-                        client = fresh;
-                        continue;
-                    }
-                    Err(e) => {
-                        failures.push(format!("job {id}: reconnect: {e}"));
-                        hung = true;
+        let give_up_ms = run.cluster.now_ms() + SOAK_DEADLINE.as_millis() as u64;
+        let failures = &mut row.failures;
+        let mut admitted: Vec<(u64, u64, String)> = Vec::new(); // (id, ga_seed, tenant)
+        let mut queue_full_rejects = 0u64;
+        let mut quota_rejects = 0u64;
+
+        // Submission phase: every client submits one job, riding through
+        // retryable rejects while the runners drain the backlog underneath.
+        'clients: for (c, &ga_seed) in plan.client_ga_seeds.iter().enumerate() {
+            let tenant = TENANTS[c % TENANTS.len()];
+            let spec = JobSpec {
+                name: format!("soak-{seed}-{c}"),
+                tenant: tenant.to_string(),
+                ..Cluster::spec(ga_seed)
+            };
+            loop {
+                run.fire_due();
+                match try_submit(&mut client, &spec) {
+                    Admission::Admitted(id) => {
+                        admitted.push((id, ga_seed, tenant.to_string()));
                         break;
                     }
-                },
+                    Admission::QueueFull => {
+                        queue_full_rejects += 1;
+                        if run.cluster.now_ms() >= give_up_ms {
+                            failures
+                                .push(format!("client {c}: still queue_full at the soak deadline"));
+                            break 'clients;
+                        }
+                        run.cluster.advance(Duration::from_millis(20));
+                    }
+                    Admission::Quota => {
+                        quota_rejects += 1;
+                        if tenant != CAPPED_TENANT {
+                            failures
+                                .push(format!("client {c}: quota reject for uncapped '{tenant}'"));
+                        }
+                        break;
+                    }
+                    Admission::Broken(detail) => {
+                        failures.push(format!("client {c}: {detail}"));
+                        // The control link is fault-free; try a reconnect
+                        // once rather than abandoning the whole scenario.
+                        match run.cluster.client() {
+                            Ok(fresh) => client = fresh,
+                            Err(e) => {
+                                failures.push(format!("reconnect: {e}"));
+                                break 'clients;
+                            }
+                        }
+                        break;
+                    }
+                }
+            }
+        }
+
+        // Drain phase: poll every admitted job to a terminal state through
+        // the protocol, firing the remaining timed faults as the virtual
+        // clock passes them, then check results against the authoritative
+        // daemon record (exact bits, not JSON round-trips).
+        let mut done = 0u64;
+        let mut hung = false;
+        for (id, ga_seed, tenant) in &admitted {
+            loop {
+                run.fire_due();
+                let state = match client.status(*id) {
+                    Ok(job) => job
+                        .get("state")
+                        .and_then(Json::as_str)
+                        .map(str::to_string)
+                        .unwrap_or_default(),
+                    Err(_) => match run.cluster.client() {
+                        Ok(fresh) => {
+                            client = fresh;
+                            continue;
+                        }
+                        Err(e) => {
+                            failures.push(format!("job {id}: reconnect: {e}"));
+                            hung = true;
+                            break;
+                        }
+                    },
+                };
+                if matches!(state.as_str(), "done" | "failed" | "canceled") {
+                    break;
+                }
+                if run.cluster.now_ms() >= give_up_ms {
+                    failures.push(format!(
+                        "job {id} (tenant {tenant}): still '{state}' at the soak deadline — lost work"
+                    ));
+                    hung = true;
+                    break;
+                }
+                run.cluster.advance(Duration::from_millis(20));
+            }
+            if hung {
+                break;
+            }
+            let Some(record) = run.cluster.daemon().status(*id) else {
+                failures.push(format!("job {id}: vanished from the daemon"));
+                continue;
             };
-            if matches!(state.as_str(), "done" | "failed" | "canceled") {
-                break;
-            }
-            if cluster.now_ms() >= give_up_ms {
+            if record.state != JobState::Done {
                 failures.push(format!(
-                    "job {id} (tenant {tenant}): still '{state}' at the soak deadline — lost work"
+                    "job {id} (tenant {tenant}): terminal '{:?}': {}",
+                    record.state,
+                    record.error.unwrap_or_default()
                 ));
-                hung = true;
-                break;
+                continue;
             }
-            cluster.advance(Duration::from_millis(20));
-        }
-        if hung {
-            break;
-        }
-        let Some(record) = cluster.daemon().status(*id) else {
-            failures.push(format!("job {id}: vanished from the daemon"));
-            continue;
-        };
-        if record.state != JobState::Done {
-            failures.push(format!(
-                "job {id} (tenant {tenant}): terminal '{:?}': {}",
-                record.state,
-                record.error.unwrap_or_default()
-            ));
-            continue;
-        }
-        let spec_problem = record.spec.problem.clone();
-        let Some((want_genes, want_bits)) = expected.get(&(spec_problem, *ga_seed)) else {
-            failures.push(format!("job {id}: no ground truth for ga seed {ga_seed}"));
-            continue;
-        };
-        match record.result {
-            Some((ref genes, fitness))
-                if genes == want_genes && fitness.to_bits() == *want_bits =>
-            {
-                done += 1;
+            let (want_genes, want_bits) = reference(expected, &record.spec);
+            match record.result {
+                Some((ref genes, fitness))
+                    if *genes == want_genes && fitness.to_bits() == want_bits =>
+                {
+                    done += 1;
+                }
+                Some((genes, fitness)) => failures.push(format!(
+                    "job {id} (ga seed {ga_seed}): got {genes:?} @ {fitness}, fault-free single-shard \
+                     gives {want_genes:?} @ {}",
+                    f64::from_bits(want_bits)
+                )),
+                None => failures.push(format!("job {id}: done without a result")),
             }
-            Some((genes, fitness)) => failures.push(format!(
-                "job {id} (ga seed {ga_seed}): got {genes:?} @ {fitness}, fault-free single-shard \
-                 gives {want_genes:?} @ {}",
-                f64::from_bits(*want_bits)
-            )),
-            None => failures.push(format!("job {id}: done without a result")),
         }
-    }
-    let virtual_ms = cluster.now_ms() - started_ms;
 
-    // Book-keeping invariants, straight from the daemon. A job's state
-    // flips terminal *before* its runner settles the quota reservation,
-    // so give the runners a moment of wall clock to finish their books
-    // — the settle lag is scheduling, not an invariant breach.
-    if !hung {
-        for _ in 0..500 {
-            let usage = cluster.daemon().tenant_usage();
-            let settled: u64 = usage.iter().map(|u| u.settled).sum();
-            if usage.iter().all(|u| u.reserved == 0) && settled >= admitted.len() as u64 {
-                break;
+        // Book-keeping invariants, straight from the daemon. A job's state
+        // flips terminal *before* its runner settles the quota reservation,
+        // so give the runners a moment of wall clock to finish their books
+        // — the settle lag is scheduling, not an invariant breach.
+        if !hung {
+            for _ in 0..500 {
+                let usage = run.cluster.daemon().tenant_usage();
+                let settled: u64 = usage.iter().map(|u| u.settled).sum();
+                if usage.iter().all(|u| u.reserved == 0) && settled >= admitted.len() as u64 {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(2));
             }
-            std::thread::sleep(Duration::from_millis(2));
+            audit_books(self, &run.cluster, &admitted, quota_rejects, failures);
+            if let Err(e) = run.cluster.checkpoints_loadable() {
+                failures.push(format!("checkpoint audit: {e}"));
+            }
         }
-        audit_books(&cluster, &admitted, quota_rejects, scale, &mut failures);
-        if let Err(e) = cluster.checkpoints_loadable() {
-            failures.push(format!("checkpoint audit: {e}"));
-        }
-    }
-    let sched_delay_p95_micros = cluster
-        .daemon()
-        .obs()
-        .histogram("sched_delay_micros")
-        .snapshot()
-        .p95();
-
-    if hung {
-        cluster.abandon();
-    } else {
-        cluster.shutdown();
-    }
-    ShardSeedReport {
-        seed,
-        clients: scale.clients,
-        admitted: admitted.len() as u64,
-        queue_full_rejects,
-        quota_rejects,
-        done,
-        failures,
-        virtual_ms,
-        sched_delay_p95_micros,
+        row.add("admitted", admitted.len() as u64);
+        row.add("jobs_done", done);
+        row.add("queue_full_rejects", queue_full_rejects);
+        row.add("quota_rejects", quota_rejects);
+        run.finish(row, hung)
     }
 }
-
 /// Quota, starvation and shard-routing invariants over the daemon's own
 /// books once the backlog has drained.
 fn audit_books(
+    soak: &ShardSoak,
     cluster: &Cluster,
     admitted: &[(u64, u64, String)],
     quota_rejects: u64,
-    scale: &ShardScale,
     failures: &mut Vec<String>,
 ) {
     let usage = cluster.daemon().tenant_usage();
@@ -513,7 +376,7 @@ fn audit_books(
                 row.admitted
             ));
         }
-        if scale.clients >= 2 * TENANTS.len() && client_admits == 0 && tenant != CAPPED_TENANT {
+        if soak.clients >= 2 * TENANTS.len() && client_admits == 0 && tenant != CAPPED_TENANT {
             failures.push(format!("tenant '{tenant}': nothing admitted at soak scale"));
         }
         if tenant == CAPPED_TENANT {
@@ -539,11 +402,11 @@ fn audit_books(
     // must end drained.
     let snaps = cluster.daemon().shard_snapshots();
     let busy_shards = snaps.iter().filter(|s| s.done > 0).count();
-    if scale.shards > 1 && admitted.len() >= 4 * scale.shards && busy_shards < 2 {
+    if soak.shards > 1 && admitted.len() >= 4 * soak.shards && busy_shards < 2 {
         failures.push(format!(
             "{} jobs all landed in one of {} shards — routing is not spreading",
             admitted.len(),
-            scale.shards
+            soak.shards
         ));
     }
     for s in &snaps {
@@ -554,57 +417,6 @@ fn audit_books(
             ));
         }
     }
-}
-
-/// A shard soak sweep's summary.
-#[derive(Debug, Clone)]
-pub struct ShardSweepReport {
-    /// First seed swept.
-    pub base_seed: u64,
-    /// Seeds swept.
-    pub seeds: u64,
-    /// Seeds on which every invariant held.
-    pub passed: u64,
-    /// Failing reports (empty on a green sweep).
-    pub failures: Vec<ShardSeedReport>,
-    /// Jobs driven to their bit-exact result across the sweep.
-    pub jobs_done: u64,
-    /// Structured queue_full rejects ridden through across the sweep —
-    /// evidence the admission controller was actually exercised.
-    pub queue_full_rejects: u64,
-    /// Structured quota rejects across the sweep.
-    pub quota_rejects: u64,
-    /// Accumulated virtual milliseconds.
-    pub virtual_ms: u64,
-}
-
-/// Sweeps `seeds` consecutive soak scenario seeds at `scale`.
-#[must_use]
-pub fn run_shard_sweep(base_seed: u64, seeds: u64, scale: &ShardScale) -> ShardSweepReport {
-    let mut expected = Expected::new();
-    let mut report = ShardSweepReport {
-        base_seed,
-        seeds,
-        passed: 0,
-        failures: Vec::new(),
-        jobs_done: 0,
-        queue_full_rejects: 0,
-        quota_rejects: 0,
-        virtual_ms: 0,
-    };
-    for seed in base_seed..base_seed + seeds {
-        let r = run_shard_seed(seed, scale, &mut expected);
-        report.jobs_done += r.done;
-        report.queue_full_rejects += r.queue_full_rejects;
-        report.quota_rejects += r.quota_rejects;
-        report.virtual_ms += r.virtual_ms;
-        if r.is_ok() {
-            report.passed += 1;
-        } else {
-            report.failures.push(r);
-        }
-    }
-    report
 }
 
 // ---------------------------------------------------------------------

@@ -1,97 +1,231 @@
-//! The seed sweep: hundreds of randomized fault scenarios, each fully
-//! determined by one `u64`, each checked against the cluster
+//! The seed sweep: one [`Scenario`] trait and one driver ([`sweep`])
+//! behind every seeded fault sweep. Hundreds of randomized scenarios,
+//! each fully determined by one `u64`, each checked against its
 //! invariants, all in seconds of wall clock (the network is simulated
 //! and the clock is virtual — only fitness evaluation costs real CPU).
 //!
 //! A scenario is *derived from its seed*, never stored: frame-level
-//! fault probabilities, an optional mid-run worker crash + restart, an
-//! optional temporary partition, and the GA seed of the job itself all
-//! come out of [`simrng::child_rng`] streams rooted at the scenario
-//! seed. Re-running a failing seed therefore replays the identical
-//! schedule — `simtest --seed N --trace` is the whole reproduction
-//! recipe.
+//! fault probabilities, timed crash/partition events and the identity
+//! of the work itself all come out of [`simrng::child_rng`] streams
+//! rooted at the scenario seed. Re-running a failing seed therefore
+//! replays the identical schedule — a replay is a one-seed sweep, and
+//! `simtest --scenario <name> --seed N --trace` is the whole
+//! reproduction recipe.
 //!
-//! The fault-free ground truth ([`Cluster::expected`]) is cached per GA
-//! seed: scenarios draw their GA seed from a small pool, so a 200-seed
-//! sweep pays for only a handful of in-process reference runs.
+//! The families (`simtest --scenario <name>`):
+//! * `base` / `mixed` ([`Backlog`]) — one inlining job, or an `inline`,
+//!   a `flags` and a `dss` job queued on one daemon, under seeded
+//!   [`Weather`]; every job must bit-match its fault-free tune.
+//! * `store` ([`StoreCrash`]) — a fitness store killed mid-append must
+//!   serve every acknowledged record bit-exactly after recovery.
+//! * `online` ([`crate::online::OnlineDrift`]) — drifting online jobs,
+//!   bit-identical to the in-process reference runner epoch by epoch.
+//! * `shard` ([`crate::shard_soak::ShardSoak`]) — the multi-tenant soak.
+//!
+//! Fault-free references are cached per sweep in the family's
+//! [`Scenario::Cache`]: scenarios draw their GA seed from a small pool,
+//! so a 200-seed sweep pays for only a handful of in-process reference
+//! runs.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
-use simrng::child_rng;
+use served::JobSpec;
+use simrng::{child_rng, Rng};
 
 use crate::cluster::{Cluster, ClusterConfig, Outcome};
-use crate::net::FaultPlan;
+use crate::net::{FaultPlan, TraceEvent};
 
-/// Virtual-time budget per scenario before a job counts as hung. Far
-/// beyond anything a healthy run needs (worst observed healthy runs
-/// finish in well under ten virtual seconds even through crash +
-/// partition schedules).
+/// Virtual-time budget per job before it counts as hung. Far beyond
+/// anything a healthy run needs (worst observed healthy runs finish in
+/// well under ten virtual seconds even through crash + partition
+/// schedules).
 pub const SCENARIO_DEADLINE: Duration = Duration::from_secs(60);
 
 /// GA seeds scenarios draw from (small on purpose — see the module docs
-/// on ground-truth caching).
-const GA_SEEDS: [u64; 4] = [1, 7, 23, 77];
+/// on reference caching).
+pub(crate) const GA_SEEDS: [u64; 4] = [1, 7, 23, 77];
 
-/// One timed fault event in a scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Event {
-    /// Crash worker `0` at this virtual time.
-    Crash {
-        /// Virtual ms after job submission.
-        at_ms: u64,
-    },
-    /// Restart the crashed worker.
-    Restart {
-        /// Virtual ms after job submission.
-        at_ms: u64,
-    },
-    /// Partition worker `1` (or `0` if only one) from the daemon.
-    Partition {
-        /// Virtual ms after job submission.
-        at_ms: u64,
-    },
+/// One family of seeded scenarios.
+pub trait Scenario {
+    /// Everything one seed denotes: fault schedule and work identity.
+    type Plan;
+    /// Fault-free references shared across one sweep.
+    type Cache: Default;
+
+    /// Derives the plan `seed` denotes. Pure: same seed, same plan, on
+    /// every machine and every run.
+    fn derive(&self, seed: u64) -> Self::Plan;
+
+    /// Runs a plan and checks every invariant.
+    fn run(&self, plan: &Self::Plan, cache: &mut Self::Cache) -> Row;
+}
+
+/// What one scenario seed produced. Green iff `failures` is empty.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Row {
+    /// The scenario seed.
+    pub seed: u64,
+    /// Virtual ms the scenario ran for.
+    pub virtual_ms: u64,
+    /// Named counters (faults injected, jobs done, records, ...) —
+    /// evidence the scenario exercised what it claims to.
+    pub totals: BTreeMap<&'static str, u64>,
+    /// Broken invariants, in the order they were caught.
+    pub failures: Vec<String>,
+    /// The fault trace, populated only when the seed failed.
+    pub trace: Vec<String>,
+}
+
+impl Row {
+    /// An empty row for `seed`.
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
+        Self {
+            seed,
+            ..Self::default()
+        }
+    }
+
+    /// Whether every invariant held.
+    #[must_use]
+    pub fn ok(&self) -> bool {
+        self.failures.is_empty()
+    }
+
+    /// A named counter (0 when never counted).
+    #[must_use]
+    pub fn total(&self, name: &str) -> u64 {
+        self.totals.get(name).copied().unwrap_or(0)
+    }
+
+    /// Adds `n` to a named counter.
+    pub fn add(&mut self, name: &'static str, n: u64) {
+        *self.totals.entry(name).or_default() += n;
+    }
+}
+
+/// A whole sweep: one row per seed, in seed order.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// First seed swept.
+    pub base_seed: u64,
+    /// Every seed's row.
+    pub rows: Vec<Row>,
+}
+
+impl Report {
+    /// Rows whose invariants broke.
+    pub fn failures(&self) -> impl Iterator<Item = &Row> {
+        self.rows.iter().filter(|r| !r.ok())
+    }
+
+    /// Seeds on which every invariant held.
+    #[must_use]
+    pub fn passed(&self) -> usize {
+        self.rows.iter().filter(|r| r.ok()).count()
+    }
+
+    /// Every named counter, summed over the sweep.
+    #[must_use]
+    pub fn totals(&self) -> BTreeMap<&'static str, u64> {
+        let mut sum = BTreeMap::new();
+        for (name, n) in self.rows.iter().flat_map(|r| &r.totals) {
+            *sum.entry(*name).or_default() += n;
+        }
+        sum
+    }
+
+    /// One named counter, summed over the sweep.
+    #[must_use]
+    pub fn total(&self, name: &str) -> u64 {
+        self.rows.iter().map(|r| r.total(name)).sum()
+    }
+
+    /// Accumulated virtual milliseconds simulated.
+    #[must_use]
+    pub fn virtual_ms(&self) -> u64 {
+        self.rows.iter().map(|r| r.virtual_ms).sum()
+    }
+
+    /// The slowest scenario — the sweep's worst-case distance from the
+    /// hang cutoff (the first of equals).
+    #[must_use]
+    pub fn worst(&self) -> Option<&Row> {
+        self.rows.iter().rev().max_by_key(|r| r.virtual_ms)
+    }
+}
+
+/// Sweeps `seeds` consecutive seeds starting at `base_seed`, sharing one
+/// reference cache across them.
+#[must_use]
+pub fn sweep<S: Scenario>(family: &S, base_seed: u64, seeds: u64) -> Report {
+    let mut cache = S::Cache::default();
+    Report {
+        base_seed,
+        rows: (base_seed..base_seed + seeds)
+            .map(|seed| family.run(&family.derive(seed), &mut cache))
+            .collect(),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Cluster weather: the pieces every cluster family shares
+// ---------------------------------------------------------------------
+
+/// What a timed event does to its worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Crash the worker.
+    Crash,
+    /// Restart the crashed worker on the same address.
+    Restart,
+    /// Partition the worker from the daemon.
+    Partition,
     /// Heal the partition.
-    Heal {
-        /// Virtual ms after job submission.
-        at_ms: u64,
-    },
+    Heal,
+}
+
+/// One timed fault against one worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Event {
+    /// Virtual ms after the scenario started.
+    pub at_ms: u64,
+    /// The target worker index.
+    pub worker: usize,
+    /// What happens to it.
+    pub fault: Fault,
 }
 
 impl Event {
-    /// The event's virtual fire time, in ms after job submission.
-    #[must_use]
-    pub fn at_ms(self) -> u64 {
-        match self {
-            Event::Crash { at_ms }
-            | Event::Restart { at_ms }
-            | Event::Partition { at_ms }
-            | Event::Heal { at_ms } => at_ms,
+    fn fire(self, cluster: &Cluster) {
+        match self.fault {
+            Fault::Crash => cluster.crash_worker(self.worker),
+            Fault::Restart => {
+                let _ = cluster.restart_worker(self.worker);
+            }
+            Fault::Partition => cluster.partition_worker(self.worker),
+            Fault::Heal => cluster.heal_worker(self.worker),
         }
     }
 }
 
-/// A fully derived scenario (everything [`run_seed`] will do).
+/// Seeded distributed-systems weather: frame faults on every
+/// daemon↔worker link plus timed events, ascending by time.
 #[derive(Debug, Clone)]
-pub struct Scenario {
-    /// The root seed.
-    pub seed: u64,
+pub struct Weather {
     /// Frame-level faults on every daemon↔worker link.
     pub plan: FaultPlan,
-    /// Timed crash/partition events, ascending by time.
+    /// Timed crash/partition events.
     pub events: Vec<Event>,
-    /// The job's GA seed (picks the search trajectory).
-    pub ga_seed: u64,
-    /// Workers in the cluster.
-    pub workers: usize,
 }
 
-impl Scenario {
-    /// Derives the scenario a seed denotes. Pure: same seed, same
-    /// scenario, on every machine and every run.
-    #[must_use]
-    pub fn derive(seed: u64) -> Self {
-        let mut rng = child_rng(seed, "sim/scenario");
+impl Weather {
+    /// The single-job weather (`base`, `mixed`, `online`): an optional
+    /// crash + restart of worker 0 and an optional partition + heal of
+    /// the *last* worker, so the two compose without stepping on each
+    /// other.
+    pub fn derive(rng: &mut Rng, workers: usize) -> Self {
         let plan = FaultPlan {
             drop_p: rng.f64() * 0.12,
             dup_p: rng.f64() * 0.04,
@@ -102,504 +236,305 @@ impl Scenario {
         if rng.chance(0.5) {
             let crash_at = 40 + rng.below(220);
             let restart_at = crash_at + 40 + rng.below(180);
-            events.push(Event::Crash { at_ms: crash_at });
-            events.push(Event::Restart { at_ms: restart_at });
+            pair(&mut events, Fault::Crash, crash_at, restart_at, 0);
         }
         if rng.chance(0.35) {
             let cut_at = 20 + rng.below(260);
             let heal_at = cut_at + 30 + rng.below(200);
-            events.push(Event::Partition { at_ms: cut_at });
-            events.push(Event::Heal { at_ms: heal_at });
+            let last = workers.saturating_sub(1);
+            pair(&mut events, Fault::Partition, cut_at, heal_at, last);
         }
-        events.sort_by_key(|e| e.at_ms());
-        Self {
-            seed,
-            plan,
-            events,
-            ga_seed: *rng.choose(&GA_SEEDS),
-            workers: 2,
+        events.sort_by_key(|e| e.at_ms);
+        Self { plan, events }
+    }
+
+    /// The soak weather (`shard`): milder frame faults over a large
+    /// fleet, one or two crash/restart pairs and an optional
+    /// partition/heal pair, each aimed at a seeded worker index.
+    pub fn soak(rng: &mut Rng, workers: usize) -> Self {
+        let plan = FaultPlan {
+            drop_p: rng.f64() * 0.08,
+            dup_p: rng.f64() * 0.03,
+            delay_p: rng.f64() * 0.30,
+            delay_max_micros: 1_000 + rng.below(15_000),
+        };
+        let mut events = Vec::new();
+        for _ in 0..=rng.below(2) {
+            let worker = rng.below(workers as u64) as usize;
+            let crash_at = 40 + rng.below(400);
+            let restart_at = crash_at + 40 + rng.below(300);
+            pair(&mut events, Fault::Crash, crash_at, restart_at, worker);
         }
+        if rng.chance(0.6) {
+            let worker = rng.below(workers as u64) as usize;
+            let cut_at = 20 + rng.below(400);
+            let heal_at = cut_at + 30 + rng.below(250);
+            pair(&mut events, Fault::Partition, cut_at, heal_at, worker);
+        }
+        events.sort_by_key(|e| e.at_ms);
+        Self { plan, events }
     }
 }
 
-/// What one scenario produced.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Verdict {
-    /// All invariants held.
-    Ok,
-    /// The job finished but its result diverged from the fault-free
-    /// ground truth (the bit-identity invariant broke).
-    Mismatch {
-        /// What the cluster produced vs. what the tuner produces
-        /// fault-free.
-        detail: String,
-    },
-    /// The job ended `failed`/`canceled`, or a checkpoint would not
-    /// load.
-    Broken {
-        /// The failure message.
-        detail: String,
-    },
-    /// The job never terminated inside the virtual deadline.
-    Hang {
-        /// Virtual ms waited.
-        waited_ms: u64,
-    },
+/// Pushes a fault and its undo (crash → restart, partition → heal).
+fn pair(events: &mut Vec<Event>, fault: Fault, at_ms: u64, undo_ms: u64, worker: usize) {
+    let undo = if fault == Fault::Crash {
+        Fault::Restart
+    } else {
+        Fault::Heal
+    };
+    events.push(Event {
+        at_ms,
+        worker,
+        fault,
+    });
+    events.push(Event {
+        at_ms: undo_ms,
+        worker,
+        fault: undo,
+    });
 }
 
-impl Verdict {
-    /// Whether every invariant held.
-    #[must_use]
-    pub fn is_ok(&self) -> bool {
-        matches!(self, Verdict::Ok)
+/// A booted cluster working through one scenario's timed events.
+pub(crate) struct Run {
+    pub(crate) cluster: Cluster,
+    started_ms: u64,
+    pending: Vec<Event>,
+}
+
+impl Run {
+    pub(crate) fn boot(config: &ClusterConfig, events: &[Event]) -> Result<Self, String> {
+        let cluster = Cluster::boot(config).map_err(|e| format!("boot: {e}"))?;
+        Ok(Self {
+            started_ms: cluster.now_ms(),
+            cluster,
+            pending: events.to_vec(),
+        })
     }
 
-    /// A short machine-friendly tag.
-    #[must_use]
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Verdict::Ok => "ok",
-            Verdict::Mismatch { .. } => "mismatch",
-            Verdict::Broken { .. } => "broken",
-            Verdict::Hang { .. } => "hang",
+    /// Fires every event the virtual clock has passed, in order.
+    pub(crate) fn fire_due(&mut self) {
+        fire_due(&self.cluster, self.started_ms, &mut self.pending);
+    }
+
+    /// Virtual ms since the scenario started.
+    pub(crate) fn elapsed_ms(&self) -> u64 {
+        self.cluster.now_ms() - self.started_ms
+    }
+
+    /// Polls one job to a terminal state (or [`SCENARIO_DEADLINE`]),
+    /// firing events as the virtual clock passes them — they land during
+    /// whichever job is running.
+    pub(crate) fn wait(&mut self, id: u64) -> Outcome {
+        let (cluster, started_ms, pending) = (&self.cluster, self.started_ms, &mut self.pending);
+        cluster.wait(id, SCENARIO_DEADLINE, |_| {
+            fire_due(cluster, started_ms, pending);
+        })
+    }
+
+    /// The end of every cluster scenario: count the injected faults,
+    /// keep the trace if the row failed, then tear down — `abandon` a
+    /// hung cluster (its stuck threads cannot be joined), `shutdown`
+    /// otherwise.
+    pub(crate) fn finish(self, mut row: Row, hung: bool) -> Row {
+        row.virtual_ms = self.elapsed_ms();
+        let trace = self.cluster.net().trace();
+        let mut faults = [0u64; 4];
+        for e in &trace {
+            match e {
+                TraceEvent::Drop { .. } => faults[0] += 1,
+                TraceEvent::Dup { .. } => faults[1] += 1,
+                TraceEvent::Delay { .. } => faults[2] += 1,
+                TraceEvent::Partitioned { .. } => faults[3] += 1,
+                TraceEvent::Note { .. } => {}
+            }
         }
+        for (name, n) in ["dropped", "duplicated", "delayed", "blackholed"]
+            .into_iter()
+            .zip(faults)
+        {
+            row.add(name, n);
+        }
+        if !row.ok() {
+            row.trace = trace.iter().map(ToString::to_string).collect();
+        }
+        if hung {
+            self.cluster.abandon();
+        } else {
+            self.cluster.shutdown();
+        }
+        row
     }
 }
 
-/// One scenario's full report.
-#[derive(Debug, Clone)]
-pub struct SeedReport {
-    /// The scenario seed.
-    pub seed: u64,
-    /// The invariant verdict.
-    pub verdict: Verdict,
-    /// Virtual ms from submission to terminal state (or to giving up).
-    pub virtual_ms: u64,
-    /// Fault-trace lines (drops, dups, delays, blackholes, crash marks).
-    /// Only populated for failing seeds — passing traces are noise.
-    pub trace: Vec<String>,
-    /// Frames dropped / duplicated / delayed / blackholed.
-    pub fault_counts: (u64, u64, u64, u64),
+fn fire_due(cluster: &Cluster, started_ms: u64, pending: &mut Vec<Event>) {
+    let elapsed = cluster.now_ms().saturating_sub(started_ms);
+    while pending.first().is_some_and(|e| elapsed >= e.at_ms) {
+        pending.remove(0).fire(cluster);
+    }
 }
 
-/// Expected-result cache shared across a sweep, keyed by
-/// `(problem id, GA seed)` — mixed sweeps tune three problems over the
-/// same GA-seed pool, and each (problem, seed) cell has its own
-/// fault-free trajectory.
+/// Fault-free reference cache shared across a sweep, keyed by
+/// `(problem id, GA seed)` — each cell has its own fault-free
+/// trajectory: `(genes, fitness bits)`.
 pub type Expected = HashMap<(String, u64), (Vec<i64>, u64)>;
 
-/// Runs one scenario seed against a cluster and checks every invariant.
-/// `expected` caches fault-free ground truths across calls;
-/// `redispatch = false` runs the intentionally-broken daemon (the sweep
-/// self-test expects it to get caught).
-#[must_use]
-pub fn run_seed(seed: u64, expected: &mut Expected, redispatch: bool) -> SeedReport {
-    let scenario = Scenario::derive(seed);
-    match run_scenario(&scenario, expected, redispatch) {
-        Ok(report) => report,
-        Err(e) => SeedReport {
-            seed,
-            verdict: Verdict::Broken { detail: e },
-            virtual_ms: 0,
-            trace: Vec::new(),
-            fault_counts: (0, 0, 0, 0),
-        },
-    }
-}
-
-fn run_scenario(
-    scenario: &Scenario,
-    expected: &mut Expected,
-    redispatch: bool,
-) -> Result<SeedReport, String> {
-    let spec = Cluster::spec(scenario.ga_seed);
-    let (want_genes, want_bits) = expected
-        .entry((spec.problem.clone(), scenario.ga_seed))
+/// The fault-free result for `spec`, computed once per cache cell.
+pub(crate) fn reference(expected: &mut Expected, spec: &JobSpec) -> (Vec<i64>, u64) {
+    expected
+        .entry((spec.problem.clone(), spec.ga.seed))
         .or_insert_with(|| {
-            let (g, f) = Cluster::expected(&spec).expect("reference tune of a valid spec");
+            let (g, f) = Cluster::expected(spec).expect("reference tune of a valid spec");
             (g, f.to_bits())
         })
-        .clone();
-
-    let cluster = Cluster::boot(&ClusterConfig {
-        seed: scenario.seed,
-        workers: scenario.workers,
-        plan: scenario.plan,
-        redispatch,
-        ..ClusterConfig::default()
-    })?;
-    let started_ms = cluster.now_ms();
-    let id = cluster.submit(&spec)?;
-
-    // Fire timed events as the virtual clock passes them. The partition
-    // targets the *last* worker so crash (worker 0) and partition
-    // schedules compose without stepping on each other.
-    let mut pending = scenario.events.clone();
-    let part_target = scenario.workers.saturating_sub(1);
-    let outcome = cluster.wait(id, SCENARIO_DEADLINE, |now_ms| {
-        while pending
-            .first()
-            .is_some_and(|e| now_ms.saturating_sub(started_ms) >= e.at_ms())
-        {
-            match pending.remove(0) {
-                Event::Crash { .. } => cluster.crash_worker(0),
-                Event::Restart { .. } => {
-                    let _ = cluster.restart_worker(0);
-                }
-                Event::Partition { .. } => cluster.partition_worker(part_target),
-                Event::Heal { .. } => cluster.heal_worker(part_target),
-            }
-        }
-    });
-    let virtual_ms = cluster.now_ms() - started_ms;
-    let counts = count_faults(&cluster);
-
-    let verdict = match &outcome {
-        Outcome::Hang { waited_ms } => {
-            let waited_ms = *waited_ms;
-            let trace = trace_lines(&cluster);
-            cluster.abandon();
-            return Ok(SeedReport {
-                seed: scenario.seed,
-                verdict: Verdict::Hang { waited_ms },
-                virtual_ms,
-                trace,
-                fault_counts: counts,
-            });
-        }
-        Outcome::Failed(msg) => Verdict::Broken {
-            detail: msg.clone(),
-        },
-        Outcome::Done { genes, fitness, .. } => {
-            if *genes != want_genes || fitness.to_bits() != want_bits {
-                Verdict::Mismatch {
-                    detail: format!(
-                        "got {genes:?} @ {fitness}, fault-free tune gives {want_genes:?} @ {}",
-                        f64::from_bits(want_bits)
-                    ),
-                }
-            } else if let Err(e) = cluster.checkpoints_loadable() {
-                Verdict::Broken { detail: e }
-            } else {
-                Verdict::Ok
-            }
-        }
-    };
-
-    let trace = if verdict.is_ok() {
-        Vec::new()
-    } else {
-        trace_lines(&cluster)
-    };
-    cluster.shutdown();
-    Ok(SeedReport {
-        seed: scenario.seed,
-        verdict,
-        virtual_ms,
-        trace,
-        fault_counts: counts,
-    })
-}
-
-fn trace_lines(cluster: &Cluster) -> Vec<String> {
-    cluster
-        .net()
-        .trace()
-        .iter()
-        .map(ToString::to_string)
-        .collect()
-}
-
-fn count_faults(cluster: &Cluster) -> (u64, u64, u64, u64) {
-    use crate::net::TraceEvent;
-    let mut c = (0, 0, 0, 0);
-    for e in cluster.net().trace() {
-        match e {
-            TraceEvent::Drop { .. } => c.0 += 1,
-            TraceEvent::Dup { .. } => c.1 += 1,
-            TraceEvent::Delay { .. } => c.2 += 1,
-            TraceEvent::Partitioned { .. } => c.3 += 1,
-            TraceEvent::Note { .. } => {}
-        }
-    }
-    c
-}
-
-/// A whole sweep's summary.
-#[derive(Debug, Clone)]
-pub struct SweepReport {
-    /// First seed swept.
-    pub base_seed: u64,
-    /// Seeds swept (`base_seed..base_seed + seeds`).
-    pub seeds: u64,
-    /// Seeds on which every invariant held.
-    pub passed: u64,
-    /// Failing reports (empty on a green sweep).
-    pub failures: Vec<SeedReport>,
-    /// Total frames dropped / duplicated / delayed / blackholed across
-    /// the sweep — evidence the schedules actually exercised faults.
-    pub fault_counts: (u64, u64, u64, u64),
-    /// Accumulated virtual milliseconds simulated.
-    pub virtual_ms: u64,
-    /// The slowest single scenario, in virtual ms — the sweep's
-    /// worst-case distance from the [`SCENARIO_DEADLINE`] hang cutoff.
-    pub worst_virtual_ms: u64,
-    /// The seed of that slowest scenario.
-    pub worst_seed: u64,
+        .clone()
 }
 
 // ---------------------------------------------------------------------
-// Mixed-problem sweep
+// base / mixed: a job backlog under weather
 // ---------------------------------------------------------------------
 
-/// The problem ids a mixed scenario submits — one job per id, all to
-/// the same daemon over the same worker pool (every id in
+/// The problem ids a mixed scenario submits (every id in
 /// [`problems::KNOWN`], spelled out so a new domain is an explicit
 /// sweep decision, not a silent cost increase).
 pub const MIXED_PROBLEMS: [&str; 3] = ["inline", "flags", "dss"];
 
-/// One mixed-problem scenario's report: the verdict each job earned, in
-/// submission order, plus the shared fault trace when any failed.
-///
-/// The invariant here is **no lost jobs**: a daemon holding a
-/// heterogeneous backlog — an inlining job, a flag-selection job and a
-/// data-structure job queued together — must drive *every* one of them
-/// to `done` with its bit-exact fault-free result, through the same
-/// crash/partition/frame-fault schedule the single-job sweep runs.
+/// `base` and `mixed`: one job per problem id, all submitted to one
+/// daemon *before any completes*, drained under seeded [`Weather`].
+/// Invariants: no lost jobs, every result bit-identical to its
+/// fault-free tune, every checkpoint loadable.
+#[derive(Debug, Clone, Copy)]
+pub struct Backlog {
+    /// Problem ids, one job each, in submission order.
+    pub problems: &'static [&'static str],
+    /// The [`ClusterConfig::redispatch`] hook: `false` builds the
+    /// intentionally-broken daemon the base self-test must catch.
+    pub redispatch: bool,
+}
+
+impl Backlog {
+    /// `base`: one inlining job.
+    pub const BASE: Self = Self {
+        problems: &["inline"],
+        redispatch: true,
+    };
+    /// `mixed`: a heterogeneous backlog — with one job runner, the
+    /// daemon holds two queued problems while tuning the first.
+    pub const MIXED: Self = Self {
+        problems: &MIXED_PROBLEMS,
+        redispatch: true,
+    };
+}
+
+/// A derived `base`/`mixed` scenario.
 #[derive(Debug, Clone)]
-pub struct MixedSeedReport {
-    /// The scenario seed (schedules derive from it exactly like
-    /// [`Scenario::derive`] — the mixed sweep reuses that derivation).
+pub struct BacklogPlan {
+    /// The root seed.
     pub seed: u64,
-    /// The GA seed every job in the scenario uses.
+    /// Frame faults and timed events.
+    pub weather: Weather,
+    /// The GA seed every job uses (picks the search trajectory).
     pub ga_seed: u64,
-    /// Per-job verdicts, `(problem id, verdict)`, in submission order.
-    /// A checkpoint-audit failure appends an extra `("checkpoints", _)`
-    /// entry.
-    pub verdicts: Vec<(&'static str, Verdict)>,
-    /// Virtual ms from first submission to the last job's terminal
-    /// state (or to giving up).
-    pub virtual_ms: u64,
-    /// Fault-trace lines; only populated for failing seeds.
-    pub trace: Vec<String>,
+    /// Workers in the cluster.
+    pub workers: usize,
 }
 
-impl MixedSeedReport {
-    /// Whether every job completed with its fault-free result.
-    #[must_use]
-    pub fn is_ok(&self) -> bool {
-        !self.verdicts.is_empty() && self.verdicts.iter().all(|(_, v)| v.is_ok())
+impl Scenario for Backlog {
+    type Plan = BacklogPlan;
+    type Cache = Expected;
+
+    fn derive(&self, seed: u64) -> BacklogPlan {
+        let mut rng = child_rng(seed, "sim/scenario");
+        let workers = 2;
+        let weather = Weather::derive(&mut rng, workers);
+        BacklogPlan {
+            seed,
+            weather,
+            ga_seed: *rng.choose(&GA_SEEDS),
+            workers,
+        }
     }
-}
 
-fn mixed_broken(seed: u64, ga_seed: u64, detail: &str) -> MixedSeedReport {
-    MixedSeedReport {
-        seed,
-        ga_seed,
-        verdicts: MIXED_PROBLEMS
+    fn run(&self, plan: &BacklogPlan, expected: &mut Expected) -> Row {
+        let mut row = Row::new(plan.seed);
+        let jobs: Vec<(JobSpec, (Vec<i64>, u64))> = self
+            .problems
             .iter()
             .map(|p| {
-                (
-                    *p,
-                    Verdict::Broken {
-                        detail: detail.to_string(),
-                    },
-                )
+                let spec = Cluster::spec_for(p, plan.ga_seed);
+                let want = reference(expected, &spec);
+                (spec, want)
             })
-            .collect(),
-        virtual_ms: 0,
-        trace: Vec::new(),
-    }
-}
+            .collect();
 
-/// Runs one mixed-problem scenario: derives the fault schedule from
-/// `seed`, submits one job per [`MIXED_PROBLEMS`] entry to a single
-/// daemon *before any of them completes*, fires the timed fault events
-/// while the backlog drains, and checks every job against its own
-/// fault-free ground truth. `expected` caches ground truths across
-/// calls, keyed by `(problem, ga_seed)`.
-#[must_use]
-pub fn run_mixed_seed(seed: u64, expected: &mut Expected) -> MixedSeedReport {
-    let scenario = Scenario::derive(seed);
-    let mut want = Vec::with_capacity(MIXED_PROBLEMS.len());
-    for problem in MIXED_PROBLEMS {
-        let spec = Cluster::spec_for(problem, scenario.ga_seed);
-        let (genes, bits) = expected
-            .entry((problem.to_string(), scenario.ga_seed))
-            .or_insert_with(|| {
-                let (g, f) = Cluster::expected(&spec).expect("reference tune of a valid spec");
-                (g, f.to_bits())
-            })
-            .clone();
-        want.push((spec, genes, bits));
-    }
-
-    let cluster = match Cluster::boot(&ClusterConfig {
-        seed: scenario.seed,
-        workers: scenario.workers,
-        plan: scenario.plan,
-        redispatch: true,
-        ..ClusterConfig::default()
-    }) {
-        Ok(c) => c,
-        Err(e) => return mixed_broken(seed, scenario.ga_seed, &format!("boot: {e}")),
-    };
-    let started_ms = cluster.now_ms();
-
-    // Submit the whole heterogeneous backlog up front: with one job
-    // worker, the daemon holds two queued problems while tuning the
-    // first — exactly the mixed-queue shape the invariant is about.
-    let mut ids = Vec::with_capacity(want.len());
-    for (spec, _, _) in &want {
-        match cluster.submit(spec) {
-            Ok(id) => ids.push(id),
+        let config = ClusterConfig {
+            seed: plan.seed,
+            workers: plan.workers,
+            plan: plan.weather.plan,
+            redispatch: self.redispatch,
+            ..ClusterConfig::default()
+        };
+        let mut run = match Run::boot(&config, &plan.weather.events) {
+            Ok(run) => run,
             Err(e) => {
-                cluster.abandon();
-                return mixed_broken(seed, scenario.ga_seed, &format!("submit: {e}"));
-            }
-        }
-    }
-
-    // Drain the backlog job by job, firing timed events as the virtual
-    // clock passes them (they land during whichever job is running —
-    // the schedule does not care which problem it interrupts).
-    let mut pending = scenario.events.clone();
-    let part_target = scenario.workers.saturating_sub(1);
-    let mut verdicts = Vec::with_capacity(want.len() + 1);
-    let mut hung = false;
-    for (i, id) in ids.iter().enumerate() {
-        let problem = MIXED_PROBLEMS[i];
-        if hung {
-            verdicts.push((
-                problem,
-                Verdict::Broken {
-                    detail: "not waited: an earlier job hung".into(),
-                },
-            ));
-            continue;
-        }
-        let outcome = cluster.wait(*id, SCENARIO_DEADLINE, |now_ms| {
-            while pending
-                .first()
-                .is_some_and(|e| now_ms.saturating_sub(started_ms) >= e.at_ms())
-            {
-                match pending.remove(0) {
-                    Event::Crash { .. } => cluster.crash_worker(0),
-                    Event::Restart { .. } => {
-                        let _ = cluster.restart_worker(0);
-                    }
-                    Event::Partition { .. } => cluster.partition_worker(part_target),
-                    Event::Heal { .. } => cluster.heal_worker(part_target),
-                }
-            }
-        });
-        let (_, want_genes, want_bits) = &want[i];
-        let verdict = match outcome {
-            Outcome::Hang { waited_ms } => {
-                hung = true;
-                Verdict::Hang { waited_ms }
-            }
-            Outcome::Failed(msg) => Verdict::Broken { detail: msg },
-            Outcome::Done { genes, fitness, .. } => {
-                if genes != *want_genes || fitness.to_bits() != *want_bits {
-                    Verdict::Mismatch {
-                        detail: format!(
-                            "{problem}: got {genes:?} @ {fitness}, fault-free tune gives \
-                             {want_genes:?} @ {}",
-                            f64::from_bits(*want_bits)
-                        ),
-                    }
-                } else {
-                    Verdict::Ok
-                }
+                row.failures.push(e);
+                return row;
             }
         };
-        verdicts.push((problem, verdict));
-    }
-    if !hung {
-        if let Err(e) = cluster.checkpoints_loadable() {
-            verdicts.push(("checkpoints", Verdict::Broken { detail: e }));
+        let mut ids = Vec::with_capacity(jobs.len());
+        for (spec, _) in &jobs {
+            match run.cluster.submit(spec) {
+                Ok(id) => ids.push(id),
+                Err(e) => {
+                    row.failures.push(format!("{}: submit: {e}", spec.problem));
+                    return run.finish(row, true);
+                }
+            }
         }
-    }
 
-    let virtual_ms = cluster.now_ms() - started_ms;
-    let failing = hung || verdicts.iter().any(|(_, v)| !v.is_ok());
-    let trace = if failing {
-        trace_lines(&cluster)
-    } else {
-        Vec::new()
-    };
-    if hung {
-        cluster.abandon();
-    } else {
-        cluster.shutdown();
-    }
-    MixedSeedReport {
-        seed,
-        ga_seed: scenario.ga_seed,
-        verdicts,
-        virtual_ms,
-        trace,
-    }
-}
-
-/// A mixed-problem sweep's summary.
-#[derive(Debug, Clone)]
-pub struct MixedSweepReport {
-    /// First seed swept.
-    pub base_seed: u64,
-    /// Seeds swept.
-    pub seeds: u64,
-    /// Seeds on which every job completed with its fault-free result.
-    pub passed: u64,
-    /// Failing reports (empty on a green sweep).
-    pub failures: Vec<MixedSeedReport>,
-    /// Jobs driven to their bit-exact result across the sweep.
-    pub jobs_done: u64,
-    /// Accumulated virtual milliseconds simulated.
-    pub virtual_ms: u64,
-}
-
-/// Sweeps `seeds` consecutive mixed-problem scenario seeds. Ground
-/// truths are cached across the sweep: scenarios draw their GA seed
-/// from the same small pool as the single-job sweep, so the whole
-/// sweep pays for at most `MIXED_PROBLEMS.len() × GA_SEEDS.len()`
-/// reference runs.
-#[must_use]
-pub fn run_mixed_sweep(base_seed: u64, seeds: u64) -> MixedSweepReport {
-    let mut expected = Expected::new();
-    let mut report = MixedSweepReport {
-        base_seed,
-        seeds,
-        passed: 0,
-        failures: Vec::new(),
-        jobs_done: 0,
-        virtual_ms: 0,
-    };
-    for seed in base_seed..base_seed + seeds {
-        let r = run_mixed_seed(seed, &mut expected);
-        report.virtual_ms += r.virtual_ms;
-        report.jobs_done += r.verdicts.iter().filter(|(_, v)| v.is_ok()).count() as u64;
-        if r.is_ok() {
-            report.passed += 1;
-        } else {
-            report.failures.push(r);
+        for (id, (spec, (want_genes, want_bits))) in ids.into_iter().zip(&jobs) {
+            let problem = &spec.problem;
+            match run.wait(id) {
+                Outcome::Hang { waited_ms } => {
+                    row.failures.push(format!(
+                        "{problem}: hang: not terminal after {waited_ms} virtual ms"
+                    ));
+                    return run.finish(row, true);
+                }
+                Outcome::Failed(msg) => row.failures.push(format!("{problem}: {msg}")),
+                Outcome::Done { genes, fitness, .. }
+                    if genes == *want_genes && fitness.to_bits() == *want_bits =>
+                {
+                    row.add("jobs_done", 1);
+                }
+                Outcome::Done { genes, fitness, .. } => row.failures.push(format!(
+                    "{problem}: got {genes:?} @ {fitness}, fault-free tune gives {want_genes:?} @ {}",
+                    f64::from_bits(*want_bits)
+                )),
+            }
         }
+        if let Err(e) = run.cluster.checkpoints_loadable() {
+            row.failures.push(format!("checkpoints: {e}"));
+        }
+        run.finish(row, false)
     }
-    report
 }
 
 // ---------------------------------------------------------------------
-// Store crash/recovery sweep
+// store: crash/recovery of the persistent fitness store
 // ---------------------------------------------------------------------
 
-/// One persistent-store crash/recovery scenario, fully derived from its
-/// seed: a write session killed mid-append (an optionally torn record
-/// tail on the wal), a recovery session that must serve every
+/// `store`: a write session killed mid-append (an optionally torn
+/// record tail on the wal), a recovery session that must serve every
 /// acknowledged record bit-exactly, and a third open proving recovery
-/// is idempotent.
+/// is idempotent. Each scenario runs in a scratch directory under the
+/// system temp dir (removed afterwards).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StoreCrash;
+
+/// A derived `store` scenario.
 #[derive(Debug, Clone)]
-pub struct StoreScenario {
+pub struct StorePlan {
     /// The root seed.
     pub seed: u64,
     /// Records appended across both write sessions.
@@ -620,14 +555,14 @@ pub struct StoreScenario {
     pub torn_frac: Option<f64>,
 }
 
-impl StoreScenario {
-    /// Derives the scenario a seed denotes. Pure, like
-    /// [`Scenario::derive`].
-    #[must_use]
-    pub fn derive(seed: u64) -> Self {
+impl Scenario for StoreCrash {
+    type Plan = StorePlan;
+    type Cache = ();
+
+    fn derive(&self, seed: u64) -> StorePlan {
         let mut rng = child_rng(seed, "sim/store");
         let records = 12 + rng.below(36) as usize;
-        Self {
+        StorePlan {
             seed,
             records,
             kill_after: 1 + rng.below(records as u64 - 1) as usize,
@@ -638,45 +573,22 @@ impl StoreScenario {
             torn_frac: rng.chance(0.8).then(|| rng.f64()),
         }
     }
-}
 
-/// One store scenario's report. Green iff `failures` is empty.
-#[derive(Debug, Clone)]
-pub struct StoreSeedReport {
-    /// The scenario seed.
-    pub seed: u64,
-    /// Broken invariants, in the order they were caught.
-    pub failures: Vec<String>,
-    /// Distinct record keys the scenario acknowledged.
-    pub records: usize,
-    /// Bytes of torn tail the kill left on the wal.
-    pub torn_bytes: u64,
-}
-
-impl StoreSeedReport {
-    /// Whether every invariant held.
-    #[must_use]
-    pub fn is_ok(&self) -> bool {
-        self.failures.is_empty()
+    fn run(&self, plan: &StorePlan, _: &mut ()) -> Row {
+        let dir =
+            std::env::temp_dir().join(format!("simstore-{}-{}", std::process::id(), plan.seed));
+        let _ = std::fs::remove_dir_all(&dir);
+        let row = run_store(plan, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        row
     }
-}
-
-/// Runs one store crash/recovery scenario in a scratch directory under
-/// the system temp dir (removed afterwards).
-#[must_use]
-pub fn run_store_seed(seed: u64) -> StoreSeedReport {
-    let dir = std::env::temp_dir().join(format!("simstore-{}-{seed}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let report = run_store_scenario(&StoreScenario::derive(seed), &dir);
-    let _ = std::fs::remove_dir_all(&dir);
-    report
 }
 
 /// The deterministic record plan of a store scenario: `records` entries
 /// over `cells` fingerprints, with deliberate duplicate keys (carrying
 /// *different* fitness values) to exercise first-write-wins across the
 /// crash boundary.
-fn store_plan(sc: &StoreScenario) -> Vec<stored::Record> {
+fn store_records(sc: &StorePlan) -> Vec<stored::Record> {
     let mut rng = child_rng(sc.seed, "sim/store/records");
     let fingerprints: Vec<stored::Fingerprint> = (0..sc.cells)
         .map(|c| stored::Fingerprint {
@@ -711,13 +623,6 @@ fn store_plan(sc: &StoreScenario) -> Vec<stored::Record> {
     plan
 }
 
-fn store_options(sc: &StoreScenario) -> stored::StoreOptions {
-    stored::StoreOptions {
-        compact_threshold: sc.compact_threshold,
-        obs: std::sync::Arc::new(obs::Registry::new()),
-    }
-}
-
 /// Acknowledged ground truth: first write wins per key, keyed exactly
 /// like [`stored::Record::key`] resolves lookups.
 type Acked = HashMap<(u64, Vec<i64>), f64>;
@@ -746,17 +651,27 @@ fn check_served(store: &stored::Store, acked: &Acked, when: &str, failures: &mut
     }
 }
 
-fn run_store_scenario(sc: &StoreScenario, dir: &std::path::Path) -> StoreSeedReport {
-    let mut failures = Vec::new();
-    let plan = store_plan(sc);
+fn run_store(sc: &StorePlan, dir: &std::path::Path) -> Row {
+    let mut row = Row::new(sc.seed);
+    let failures = &mut row.failures;
+    let plan = store_records(sc);
     let mut acked = Acked::new();
+    let open = || {
+        stored::Store::open_with(
+            dir,
+            stored::StoreOptions {
+                compact_threshold: sc.compact_threshold,
+                obs: std::sync::Arc::new(obs::Registry::new()),
+            },
+        )
+    };
 
     // Session one: append until the kill point, then die. `drop` joins
     // the compactor, which is the right model — the torn bytes below
     // stand in for the append that was *in flight* when the process was
     // killed, which by the ack contract is the only write that may be
     // lost.
-    match stored::Store::open_with(dir, store_options(sc)) {
+    match open() {
         Err(e) => failures.push(format!("first open: {e}")),
         Ok(store) => {
             for rec in &plan[..sc.kill_after] {
@@ -805,7 +720,7 @@ fn run_store_scenario(sc: &StoreScenario, dir: &std::path::Path) -> StoreSeedRep
     // Session two: recovery. Every acknowledged record must be served
     // bit-exactly, the torn tail must be measured and truncated, and the
     // remaining appends must land on the recovered wal.
-    match stored::Store::open_with(dir, store_options(sc)) {
+    match open() {
         Err(e) => failures.push(format!("recovery open: {e}")),
         Ok(store) => {
             let recovered = store.stats().recovered_torn_bytes;
@@ -814,7 +729,7 @@ fn run_store_scenario(sc: &StoreScenario, dir: &std::path::Path) -> StoreSeedRep
                     "recovery truncated {recovered} bytes, kill tore {torn_bytes}"
                 ));
             }
-            check_served(&store, &acked, "after recovery", &mut failures);
+            check_served(&store, &acked, "after recovery", failures);
             for rec in &plan[sc.kill_after..sc.records] {
                 match store.append(rec) {
                     Ok(_) => {
@@ -830,13 +745,13 @@ fn run_store_scenario(sc: &StoreScenario, dir: &std::path::Path) -> StoreSeedRep
                     failures.push(format!("post-recovery compact: {e}"));
                 }
             }
-            check_served(&store, &acked, "after restart writes", &mut failures);
+            check_served(&store, &acked, "after restart writes", failures);
         }
     }
 
     // Session three: recovery must be idempotent — a clean reopen serves
     // the same records and finds nothing left to truncate.
-    match stored::Store::open_with(dir, store_options(sc)) {
+    match open() {
         Err(e) => failures.push(format!("third open: {e}")),
         Ok(store) => {
             let recovered = store.stats().recovered_torn_bytes;
@@ -845,90 +760,14 @@ fn run_store_scenario(sc: &StoreScenario, dir: &std::path::Path) -> StoreSeedRep
                     "clean reopen truncated {recovered} bytes; recovery was not idempotent"
                 ));
             }
-            check_served(&store, &acked, "after clean reopen", &mut failures);
+            check_served(&store, &acked, "after clean reopen", failures);
         }
     }
 
-    StoreSeedReport {
-        seed: sc.seed,
-        failures,
-        records: acked.len(),
-        torn_bytes,
-    }
-}
-
-/// A store sweep's summary.
-#[derive(Debug, Clone)]
-pub struct StoreSweepReport {
-    /// First seed swept.
-    pub base_seed: u64,
-    /// Seeds swept.
-    pub seeds: u64,
-    /// Seeds on which every invariant held.
-    pub passed: u64,
-    /// Failing reports (empty on a green sweep).
-    pub failures: Vec<StoreSeedReport>,
-    /// Distinct acknowledged records across the sweep.
-    pub records: u64,
-    /// Scenarios whose kill actually tore the wal — evidence the sweep
-    /// exercised the recovery path, not just clean restarts.
-    pub torn_scenarios: u64,
-}
-
-/// Sweeps `seeds` consecutive store crash/recovery seeds.
-#[must_use]
-pub fn run_store_sweep(base_seed: u64, seeds: u64) -> StoreSweepReport {
-    let mut report = StoreSweepReport {
-        base_seed,
-        seeds,
-        passed: 0,
-        failures: Vec::new(),
-        records: 0,
-        torn_scenarios: 0,
-    };
-    for seed in base_seed..base_seed + seeds {
-        let r = run_store_seed(seed);
-        report.records += r.records as u64;
-        report.torn_scenarios += u64::from(r.torn_bytes > 0);
-        if r.is_ok() {
-            report.passed += 1;
-        } else {
-            report.failures.push(r);
-        }
-    }
-    report
-}
-
-/// Sweeps `seeds` consecutive scenario seeds starting at `base_seed`.
-#[must_use]
-pub fn run_sweep(base_seed: u64, seeds: u64, redispatch: bool) -> SweepReport {
-    let mut expected = Expected::new();
-    let mut report = SweepReport {
-        base_seed,
-        seeds,
-        passed: 0,
-        failures: Vec::new(),
-        fault_counts: (0, 0, 0, 0),
-        virtual_ms: 0,
-        worst_virtual_ms: 0,
-        worst_seed: base_seed,
-    };
-    for seed in base_seed..base_seed + seeds {
-        let r = run_seed(seed, &mut expected, redispatch);
-        report.fault_counts.0 += r.fault_counts.0;
-        report.fault_counts.1 += r.fault_counts.1;
-        report.fault_counts.2 += r.fault_counts.2;
-        report.fault_counts.3 += r.fault_counts.3;
-        report.virtual_ms += r.virtual_ms;
-        if r.virtual_ms > report.worst_virtual_ms {
-            report.worst_virtual_ms = r.virtual_ms;
-            report.worst_seed = seed;
-        }
-        if r.verdict.is_ok() {
-            report.passed += 1;
-        } else {
-            report.failures.push(r);
-        }
-    }
-    report
+    row.add("records", acked.len() as u64);
+    row.add("torn_bytes", torn_bytes);
+    // Scenarios whose kill actually tore the wal — evidence the sweep
+    // exercised the recovery path, not just clean restarts.
+    row.add("torn_scenarios", u64::from(torn_bytes > 0));
+    row
 }

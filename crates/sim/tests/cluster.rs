@@ -9,8 +9,10 @@
 
 use std::time::Duration;
 
-use sim::sweep::Expected;
-use sim::{run_seed, run_sweep, Cluster, ClusterConfig, FaultPlan, Outcome};
+use sim::{
+    sweep, Backlog, Cluster, ClusterConfig, FaultPlan, OnlineDrift, Outcome, Report, Scenario,
+    StoreCrash,
+};
 
 /// One timeout unit. Deadlines scale off `SIM_TIMEOUT_MS` (default
 /// 1000) so slow or loaded machines can stretch every bound with one
@@ -30,18 +32,27 @@ fn bound(units: u32) -> Duration {
     timeout_unit() * units
 }
 
+/// The failing rows of a sweep, for assertion messages.
+fn failing(report: &Report) -> Vec<(u64, Vec<String>)> {
+    report
+        .failures()
+        .map(|r| (r.seed, r.failures.clone()))
+        .collect()
+}
+
 #[test]
 fn same_seed_is_bit_identical_across_executions() {
     // Thread interleaving may vary retry counts between executions, but
     // the *outcome* must not move: both runs have to reproduce the
     // fault-free ground truth bit-for-bit (genome and fitness bits are
-    // compared inside run_seed).
+    // compared inside the backlog scenario).
     for run in 0..2 {
-        let report = run_seed(3, &mut Expected::new(), true);
-        assert!(
-            report.verdict.is_ok(),
+        let report = sweep(&Backlog::BASE, 3, 1);
+        assert_eq!(
+            report.passed(),
+            1,
             "run {run} of seed 3 diverged: {:?}",
-            report.verdict
+            failing(&report)
         );
     }
 }
@@ -121,12 +132,16 @@ fn sweep_catches_a_daemon_that_loses_redispatched_work() {
     // The intentionally-broken build: DispatchConfig::redispatch = false
     // silently drops work claimed by a failing worker. With frame drops
     // in the schedule, some seed must hang on the lost genome.
-    let report = run_sweep(9, 4, false);
+    let broken = Backlog {
+        redispatch: false,
+        ..Backlog::BASE
+    };
+    let report = sweep(&broken, 9, 4);
     assert!(
-        !report.failures.is_empty(),
+        report.failures().next().is_some(),
         "no seed caught the lost-work bug — the sweep has no teeth"
     );
-    for f in &report.failures {
+    for f in report.failures() {
         assert!(
             !f.trace.is_empty(),
             "failing seed {} carries no fault trace to replay from",
@@ -140,19 +155,15 @@ fn mixed_problem_backlog_loses_no_job_and_stays_bit_identical() {
     // One daemon, three queued jobs — inline, flags, dss — per seed,
     // under the same seeded fault weather as the single-job sweep.
     // Every job must reach `done` with its own fault-free result.
-    let report = sim::run_mixed_sweep(1, 3);
+    let report = sweep(&Backlog::MIXED, 1, 3);
     assert_eq!(
-        report.passed,
+        report.passed(),
         3,
         "mixed-problem backlog lost or corrupted jobs: {:?}",
-        report
-            .failures
-            .iter()
-            .map(|f| (f.seed, f.verdicts.clone()))
-            .collect::<Vec<_>>()
+        failing(&report)
     );
     assert_eq!(
-        report.jobs_done,
+        report.total("jobs_done"),
         3 * sim::MIXED_PROBLEMS.len() as u64,
         "every submitted job must land, none dropped from the queue"
     );
@@ -160,29 +171,24 @@ fn mixed_problem_backlog_loses_no_job_and_stays_bit_identical() {
 
 #[test]
 fn store_crash_recovery_sweep_passes_and_exercises_torn_tails() {
-    let report = sim::run_store_sweep(1, 16);
+    let report = sweep(&StoreCrash, 1, 16);
     assert_eq!(
-        report.passed,
+        report.passed(),
         16,
         "store lost or corrupted acknowledged records: {:?}",
-        report
-            .failures
-            .iter()
-            .map(|f| (f.seed, f.failures.clone()))
-            .collect::<Vec<_>>()
+        failing(&report)
     );
     assert!(
-        report.torn_scenarios > 0,
+        report.total("torn_scenarios") > 0,
         "no scenario tore the wal — the sweep never hit the recovery path"
     );
     // A scenario is pure in its seed: replaying one yields the exact
-    // same shape, which is what makes `simtest --store-seed N` a
-    // complete reproduction recipe.
-    let a = sim::run_store_seed(5);
-    let b = sim::run_store_seed(5);
-    assert_eq!(a.records, b.records);
-    assert_eq!(a.torn_bytes, b.torn_bytes);
-    assert_eq!(a.failures, b.failures);
+    // same row, which is what makes `simtest --scenario store --seed N`
+    // a complete reproduction recipe.
+    let a = sweep(&StoreCrash, 5, 1);
+    let b = sweep(&StoreCrash, 5, 1);
+    assert_eq!(a.rows, b.rows);
+    assert!(a.rows[0].total("records") > 0);
 }
 
 #[test]
@@ -192,48 +198,38 @@ fn online_drift_sweep_stays_bit_identical_and_commits_retunes() {
     // latencies, evaluation counts, final incumbent bits — must equal
     // the in-process reference runner, and the bounded-regret
     // invariants must hold on every seed.
-    let report = sim::run_online_sweep(1, 6);
+    let report = sweep(&OnlineDrift, 1, 6);
     assert_eq!(
-        report.passed,
+        report.passed(),
         6,
         "online scenarios diverged from the reference runner: {:?}",
-        report
-            .failures
-            .iter()
-            .map(|f| (f.seed, f.verdict.tag()))
-            .collect::<Vec<_>>()
+        failing(&report)
     );
     assert!(
-        report.retunes > 0,
+        report.total("retunes") > 0,
         "no scenario committed a retune — drift detection never fired"
     );
     // Scenario derivation is pure in the seed: the same seed replays
     // the identical schedule and drift identity, which is what makes
-    // `simtest --online-seed N` a complete reproduction recipe.
-    let mut expected = sim::OnlineExpected::new();
-    let a = sim::run_online_seed(2, &mut expected);
-    let b = sim::run_online_seed(2, &mut expected);
-    assert_eq!(a.verdict, b.verdict);
-    assert_eq!(a.retunes, b.retunes);
-    assert_eq!(a.kind, b.kind);
+    // `simtest --scenario online --seed N` a complete reproduction
+    // recipe.
+    let (a, b) = (sweep(&OnlineDrift, 2, 1), sweep(&OnlineDrift, 2, 1));
+    assert_eq!(a.rows[0].failures, b.rows[0].failures);
+    assert_eq!(a.total("retunes"), b.total("retunes"));
+    assert_eq!(OnlineDrift.derive(2).kind, OnlineDrift.derive(2).kind);
 }
 
 #[test]
 fn clean_sweep_over_healthy_daemon_passes_and_injects_faults() {
-    let report = run_sweep(1, 6, true);
+    let report = sweep(&Backlog::BASE, 1, 6);
     assert_eq!(
-        report.passed,
+        report.passed(),
         6,
         "healthy daemon failed seeds: {:?}",
-        report
-            .failures
-            .iter()
-            .map(|f| (f.seed, f.verdict.tag()))
-            .collect::<Vec<_>>()
+        failing(&report)
     );
-    let (drops, dups, delays, _) = report.fault_counts;
     assert!(
-        drops + dups + delays > 0,
+        report.total("dropped") + report.total("duplicated") + report.total("delayed") > 0,
         "sweep injected no faults at all — the schedules are inert"
     );
 }

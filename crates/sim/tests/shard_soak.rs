@@ -1,30 +1,30 @@
 //! Tier-1 smoke over the multi-tenant shard soak and bench: small
-//! scale so `cargo test` stays fast — `simtest --shard-seeds` runs the
-//! headline 1000-client / 100-worker sweep in CI's soak stage.
+//! scale so `cargo test` stays fast — `simtest --scenario shard` runs
+//! the headline 1000-client / 100-worker sweep in CI's soak stage.
 
-use sim::{run_shard_bench, run_shard_seed, ShardScale};
+use sim::{run_shard_bench, sweep, ShardSoak};
 
 #[test]
 fn a_small_soak_holds_every_invariant() {
-    let scale = ShardScale {
+    let soak = ShardSoak {
         clients: 32,
         workers: 6,
         shards: 4,
         runners: 4,
     };
-    let mut expected = sim::sweep::Expected::new();
-    for seed in [11, 12] {
-        let r = run_shard_seed(seed, &scale, &mut expected);
-        assert!(r.is_ok(), "soak seed {seed} failed: {:?}", r.failures);
-        assert!(r.admitted > 0, "soak seed {seed} admitted nothing");
+    for r in sweep(&soak, 11, 2).rows {
+        let seed = r.seed;
+        assert!(r.ok(), "soak seed {seed} failed: {:?}", r.failures);
+        assert!(r.total("admitted") > 0, "soak seed {seed} admitted nothing");
         assert_eq!(
-            r.done, r.admitted,
+            r.total("jobs_done"),
+            r.total("admitted"),
             "soak seed {seed}: every admitted job must finish"
         );
         // The capped tenant's budget admits roughly a quarter of its
         // clients; the rest must have seen structured quota rejects.
         assert!(
-            r.quota_rejects > 0,
+            r.total("quota_rejects") > 0,
             "soak seed {seed} never exercised the quota path"
         );
     }

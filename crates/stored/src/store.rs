@@ -564,7 +564,16 @@ fn compactor_loop(shared: &Arc<Shared>) {
 
 impl Drop for Store {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Raise the flag under the mutex the compactor holds between its
+        // flag check and its condvar wait, or the wake-up can be lost.
+        {
+            let _pending = self
+                .shared
+                .compact_pending
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.compact_cv.notify_all();
         if let Some(h) = self.compactor.lock().expect("compactor poisoned").take() {
             h.join().ok();

@@ -362,3 +362,29 @@ fn obs_counters_track_traffic() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn immediate_drop_never_loses_the_compactor_wake_up() {
+    // Open and at once drop, a thousand times: a compactor caught
+    // between its shutdown check and its condvar wait must still wake.
+    // Each round runs under a deadline so a lost wake-up fails the test
+    // instead of hanging it.
+    // The window is a few instructions wide: with the flag set
+    // outside the lock, a 2-core host lost a wake-up about once per
+    // few thousand rounds, so this guards probabilistically.
+    let dir = temp_dir("wakeup");
+    for round in 0..1000 {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let d = dir.clone();
+        let round_thread = std::thread::spawn(move || {
+            drop(Store::open_with(&d, StoreOptions::default()).unwrap());
+            let _ = tx.send(());
+        });
+        assert!(
+            rx.recv_timeout(std::time::Duration::from_secs(10)).is_ok(),
+            "round {round}: drop hung — the compactor missed the wake-up"
+        );
+        round_thread.join().unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

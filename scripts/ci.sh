@@ -12,23 +12,26 @@
 # search-strategy
 # shootout whose racing portfolio must hit its shared memo, and a
 # persistent-store bench whose warm start must match cold in no more
-# evaluations), a deterministic-simulation sweep: 200 seeded fault
-# schedules over the simulated cluster (crates/sim) plus seeded
-# kill-mid-append store crash/recovery scenarios, every seed required
-# to reproduce the fault-free result bit-for-bit (failing seeds replay
-# with scripts/replay.sh <seed> / simtest --store-seed <seed>), and the
-# throughput-scaling suite (`simtest --scale`): a virtual worker fleet
-# that must beat serial at 2 workers and hold >=70% parallel efficiency
-# at 16, bit-identical and exactly-once under seeded fault variants.
-# Finally the multi-tenant shard soak (`simtest --shard-seeds`): per
-# seed, 1000 virtual clients across four tenants push jobs through the
-# sharded control plane over a shared 100-worker fleet — no lost jobs,
-# quotas respected, no tenant starved, results bit-identical. PR 10
-# adds the online drift sweep (seeded drifting workloads under fault
-# weather, every daemon trajectory bit-identical to the in-process
-# reference runner), a calibration-stability check for the perf-gate
-# baseline, and BENCH_online.json (calibrated hot-path gates plus the
-# online-vs-frozen drift-study verdict) via scripts/bench.sh.
+# evaluations), the deterministic-simulation sweeps (crates/sim): one
+# driver, one CLI form — `simtest --scenario <name> --seeds N` — over
+# five families of seeded fault scenarios on the virtual cluster:
+# `base` (200 seeds, every job bit-identical to its fault-free tune),
+# `mixed` (8 seeds of an inline + flags + dss backlog on one daemon),
+# `store` (60 kill-mid-append crash/recovery seeds), `online` (50
+# seeds of drifting workloads, every trajectory bit-identical to the
+# in-process reference runner) and `shard` (50 seeds of 1000 virtual
+# clients over a shared 100-worker fleet against the sharded control
+# plane: no lost jobs, quotas respected, no tenant starved). Failing
+# seeds replay with `scripts/replay.sh <scenario> <seed>`; the reports
+# land in BENCH_sim.json. A broken-build self-test proves the sweep
+# has teeth, and the throughput-scaling suite (`simtest --scale`) must
+# beat serial at 2 workers and hold >=70% parallel efficiency at 16,
+# bit-identical and exactly-once under seeded fault variants. The
+# perfbench package's tests run too, so a public-API change that
+# breaks the benchmark fails CI. PR 10 added a calibration-stability
+# check for the perf-gate baseline and BENCH_online.json (calibrated
+# hot-path gates plus the online-vs-frozen drift-study verdict) via
+# scripts/bench.sh.
 #
 # The workspace must never need the network: `--offline` everywhere.
 set -euo pipefail
@@ -42,6 +45,9 @@ cargo build --workspace --release --offline
 
 echo "== cargo test --offline"
 cargo test --workspace --offline --quiet
+
+echo "== perfbench tests (the benchmark builds against the public API)"
+cargo test --offline --quiet --manifest-path perfbench/Cargo.toml
 
 # The property-test suites (obs histogram invariants, registry JSON
 # round-trips) need the external `proptest` crate, which is not vendored:
@@ -203,38 +209,59 @@ grep -q '"online_ok":true' BENCH_online.json \
   || { echo "online did not beat the frozen incumbent on enough schedules"; \
        cat BENCH_online.json; exit 1; }
 
-echo "== sim sweep (200 seeded fault schedules on the virtual clock)"
-# Fixed base seed so CI failures reproduce exactly: replay any failing
-# seed it prints with `scripts/replay.sh <seed>`.
-target/release/simtest --seeds "${SIM_SWEEP_SEEDS:-200}" --base-seed 1 \
-  --mixed-seeds "${SIM_MIXED_SEEDS:-8}" \
-  --online-seeds "${SIM_ONLINE_SEEDS:-50}" --out BENCH_sim.json
-grep -q '"failed":0' BENCH_sim.json \
-  || { echo "sim sweep caught failing seeds"; cat BENCH_sim.json; exit 1; }
-# The sweep's mixed-problem stage: per seed, an inline + a flags + a
-# dss job queued on one daemon under the same fault schedule; no job
-# may be lost and every result must bit-match its fault-free tune.
-grep -q '"mixed_failed":0' BENCH_sim.json \
-  || { echo "mixed-problem sweep lost or corrupted jobs"; cat BENCH_sim.json; exit 1; }
-# The sweep's store stage: seeded kill-mid-append crash/recovery
-# scenarios (torn wal tails, compactions straddling the kill); every
-# acknowledged record must survive bit-exactly.
-grep -q '"store_failed":0' BENCH_sim.json \
-  || { echo "store crash/recovery sweep lost acked records"; cat BENCH_sim.json; exit 1; }
-# The sweep's online stage: drifting workloads (step/ramp/cyclic) under
-# the same fault weather; every daemon epoch trajectory — probes,
-# retune decisions, detection latencies, final incumbent bits — must
-# equal the in-process reference runner, with checkpoints loadable at
-# every epoch (failing seeds replay with `simtest --online-seed N`).
-grep -q '"online_failed":0' BENCH_sim.json \
-  || { echo "online drift sweep diverged from the reference runner"; \
-       cat BENCH_sim.json; exit 1; }
-grep -q '"online_retunes":0' BENCH_sim.json \
+echo "== sim sweeps (seeded fault scenarios on the virtual clock)"
+# Fixed base seed so CI failures reproduce exactly: every failing seed
+# prints its fault trace and a `replay: scripts/replay.sh <scenario>
+# <seed>` line. Each family writes one report in the same JSON shape;
+# a family is green iff its report says `"failed":0`.
+SIM_OUT=$(mktemp -d)
+sim_sweep() { # scenario seeds [simtest flags...]
+  local name=$1 seeds=$2
+  shift 2
+  target/release/simtest --scenario "$name" --seeds "$seeds" --base-seed 1 \
+    --out "$SIM_OUT/$name.json" "$@" \
+    || { echo "sim $name sweep caught failing seeds"; cat "$SIM_OUT/$name.json"; exit 1; }
+  grep -q '"failed":0' "$SIM_OUT/$name.json" \
+    || { echo "sim $name sweep: report lacks the green verdict"; \
+         cat "$SIM_OUT/$name.json"; exit 1; }
+}
+# base: one job per seed under frame faults, crashes and partitions;
+# its result must bit-match the fault-free tune.
+sim_sweep base "${SIM_SWEEP_SEEDS:-200}"
+# mixed: an inline + a flags + a dss job queued on one daemon under the
+# same fault schedule; no job may be lost and every result must
+# bit-match its fault-free tune.
+sim_sweep mixed "${SIM_MIXED_SEEDS:-8}"
+# store: seeded kill-mid-append crash/recovery scenarios (torn wal
+# tails, compactions straddling the kill); every acknowledged record
+# must survive bit-exactly.
+sim_sweep store 60
+# online: drifting workloads (step/ramp/cyclic) under the same fault
+# weather; every daemon epoch trajectory — probes, retune decisions,
+# detection latencies, final incumbent bits — must equal the
+# in-process reference runner, with checkpoints loadable at every
+# epoch. Drift detection must actually fire somewhere.
+sim_sweep online "${SIM_ONLINE_SEEDS:-50}"
+grep -q '"retunes":0' "$SIM_OUT/online.json" \
   && { echo "online sweep committed no retunes — drift detection inert"; \
-       cat BENCH_sim.json; exit 1; }
+       cat "$SIM_OUT/online.json"; exit 1; }
+# shard: the headline multi-tenant soak. Per seed, 1000 virtual clients
+# across four tenants (one quota-capped) submit onto a sharded daemon
+# over a shared 100-worker fleet under crash/restart/partition weather.
+# Invariants per seed: no lost jobs, structured busy/quota rejects
+# only, no tenant starved, quotas never overdrawn, every result
+# bit-identical to its fault-free single-shard tune. Scale knobs for
+# slow hosts: SIM_SHARD_SEEDS / SIM_SHARD_CLIENTS / SIM_SHARD_WORKERS.
+echo "== multi-tenant shard soak (simtest --scenario shard)"
+sim_sweep shard "${SIM_SHARD_SEEDS:-50}" \
+  --shard-clients "${SIM_SHARD_CLIENTS:-1000}" \
+  --shard-workers "${SIM_SHARD_WORKERS:-100}"
+printf '[%s]\n' "$(cat "$SIM_OUT"/{base,mixed,store,online,shard}.json | paste -sd,)" \
+  > BENCH_sim.json
+rm -rf "$SIM_OUT"
 # The sweep must prove it has teeth: a build that loses re-dispatched
 # work has to be caught by at least one seed.
-target/release/simtest --broken --seeds 12 --base-seed 9 >/dev/null \
+target/release/simtest --scenario base --broken --seeds 12 --base-seed 9 >/dev/null \
   || { echo "broken-build self-test: no seed caught the lost work"; exit 1; }
 
 echo "== sim throughput-scaling suite (virtual workers, batched dispatch)"
@@ -255,24 +282,5 @@ grep -q '"scale_ok":true' BENCH_scale.json \
 # this re-checks the artifact so a stale file cannot pass).
 grep -q '"shard_bench_ok":true' BENCH_shard.json \
   || { echo "sharded >= single-queue bench gate failed"; cat BENCH_shard.json; exit 1; }
-
-echo "== multi-tenant shard soak (simtest --shard-seeds)"
-# The headline soak: per seed, 1000 virtual clients across four tenants
-# (one quota-capped) submit onto a sharded daemon over a shared
-# 100-worker fleet under crash/restart/partition weather. Invariants per
-# seed: no lost jobs, structured busy/quota rejects only, no tenant
-# starved, quotas never overdrawn, every result bit-identical to its
-# fault-free single-shard tune. Scale knobs for slow hosts:
-# SIM_SHARD_SEEDS / SIM_SHARD_CLIENTS / SIM_SHARD_WORKERS.
-target/release/simtest --seeds 0 --mixed-seeds 0 --store-seeds 0 \
-  --base-seed 1 --shard-seeds "${SIM_SHARD_SEEDS:-50}" \
-  --shard-clients "${SIM_SHARD_CLIENTS:-1000}" \
-  --shard-workers "${SIM_SHARD_WORKERS:-100}" \
-  --out BENCH_shard_soak.json \
-  || { echo "shard soak caught failing seeds (replay: simtest --shard-seed N)"; \
-       cat BENCH_shard_soak.json; exit 1; }
-grep -q '"shard_failed":0' BENCH_shard_soak.json \
-  || { echo "BENCH_shard_soak.json missing the green verdict"; \
-       cat BENCH_shard_soak.json; exit 1; }
 
 echo "== CI OK"
